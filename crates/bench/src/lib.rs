@@ -1,9 +1,9 @@
 //! # bench
 //!
 //! Benchmark harnesses that regenerate every table and figure of the
-//! paper's evaluation on the synthetic workloads (see `DESIGN.md` §4 for
-//! the experiment index and `EXPERIMENTS.md` for paper-vs-measured
-//! results).
+//! paper's evaluation on the synthetic workloads (measured-vs-cost-model
+//! Figure 8 overheads come from the repository benchmark; see
+//! `perfbench/README.md`).
 //!
 //! * Criterion benches (`cargo bench -p bench`): micro-benchmarks of the
 //!   layout hash table and the runtime checks, plus a small SPEC-slice

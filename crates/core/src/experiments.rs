@@ -3,8 +3,9 @@
 //!
 //! Each function runs the synthetic workloads under the requested
 //! sanitizers and returns structured results; the `bench` crate's binaries
-//! format them as the corresponding table/figure and `EXPERIMENTS.md`
-//! records paper-vs-measured values.
+//! format them as the corresponding table/figure.  Measured Figure 8
+//! overheads, beside the cost model's, come from the repository
+//! benchmark (`perfbench/README.md`).
 
 use std::collections::BTreeMap;
 
@@ -402,8 +403,7 @@ impl FirefoxExperiment {
 }
 
 /// Run the Firefox-like workload's browser benchmarks, each driver executed
-/// in its own thread (each VM owns an isolated simulated address space; see
-/// DESIGN.md for the threading substitution).
+/// in its own thread (each VM owns an isolated simulated address space).
 pub fn firefox_experiment(scale: Scale, parallel: bool) -> FirefoxExperiment {
     let workload = FirefoxWorkload::default();
     let source = workload.source(scale);

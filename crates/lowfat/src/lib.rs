@@ -10,8 +10,8 @@
 //! recovered with O(1) arithmetic.  EffectiveSan repurposes the `base()`
 //! operation to locate an object's meta-data header.
 //!
-//! Because this repository reproduces the system on a simulated machine
-//! (see `DESIGN.md`), the crate provides:
+//! Because this repository reproduces the system on a simulated machine,
+//! the crate provides:
 //!
 //! * [`Ptr`] — simulated 64-bit pointers;
 //! * [`size_classes`] — the region/size-class layout and the pure

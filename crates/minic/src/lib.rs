@@ -5,8 +5,8 @@
 //!
 //! The published EffectiveSan instruments C/C++ by modifying clang to emit
 //! type-annotated LLVM IR and adding an LLVM instrumentation pass (§6).
-//! Re-building that toolchain is out of scope for a Rust reproduction (see
-//! `DESIGN.md`), so this crate provides the equivalent substrate:
+//! Re-building that toolchain is out of scope for a Rust reproduction, so
+//! this crate provides the equivalent substrate:
 //!
 //! * a lexer, parser and AST for a C subset with the C++ extensions the
 //!   evaluation needs (classes, single/multiple inheritance, virtual-method

@@ -5,8 +5,7 @@
 //! diagnostic (the neutrality suites pin that):
 //!
 //! * [`metrics`] — lock-cheap counters, gauges and log2-bucketed
-//!   histograms (relaxed atomics; `record` never blocks), plus a
-//!   name-keyed [`Registry`].
+//!   histograms (relaxed atomics; `record` never blocks).
 //! * [`trace`] — a bounded ring-buffer structured-event tracer with an
 //!   optional JSONL file sink, gated by environment variables
 //!   (`SAN_TRACE=path` for the VM/sanitizer layer, `SWEEP_TRACE=path`
@@ -20,7 +19,7 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, HistSummary, Histogram, HistogramSnapshot, Registry};
+pub use metrics::{Counter, Gauge, HistSummary, Histogram, HistogramSnapshot};
 pub use profile::{FuncCounts, ProfileReport, SiteCounts, TierEvent};
 pub use trace::{san_tracer, sweep_tracer, TraceValue, Tracer};
 

@@ -5,9 +5,7 @@
 //! point-in-time [snapshots](HistogramSnapshot) that can be merged and
 //! summarised (`p50`/`p90`/`p99`) deterministically.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: one per power of two of `u64`, plus a
 /// dedicated zero bucket (index 0).  Bucket `i >= 1` holds values in
@@ -242,96 +240,6 @@ pub struct HistSummary {
     pub max: u64,
 }
 
-/// A name-keyed registry of metrics.
-///
-/// Lookup takes a short-held mutex; the returned `Arc` handles record
-/// lock-free thereafter, so callers resolve names once and cache the
-/// handle.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl Registry {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Get or create the counter named `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(map.entry(name.to_string()).or_default())
-    }
-
-    /// Get or create the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(map.entry(name.to_string()).or_default())
-    }
-
-    /// Get or create the histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(map.entry(name.to_string()).or_default())
-    }
-
-    /// Render every metric as one JSON object (names sorted, so the
-    /// output is deterministic for a given set of values).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        {
-            let map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-            let mut first = true;
-            for (name, c) in map.iter() {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("\"{}\":{}", crate::json_escape(name), c.get()));
-            }
-        }
-        out.push_str("},\"gauges\":{");
-        {
-            let map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-            let mut first = true;
-            for (name, g) in map.iter() {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("\"{}\":{}", crate::json_escape(name), g.get()));
-            }
-        }
-        out.push_str("},\"histograms\":{");
-        {
-            let map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-            let mut first = true;
-            for (name, h) in map.iter() {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let s = h.snapshot().summary();
-                out.push_str(&format!(
-                    "\"{}\":{{\"count\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                    crate::json_escape(name),
-                    s.count,
-                    s.min,
-                    s.p50,
-                    s.p90,
-                    s.p99,
-                    s.max
-                ));
-            }
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,22 +307,5 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, all.snapshot());
-    }
-
-    #[test]
-    fn registry_handles_are_shared_and_render_sorted() {
-        let r = Registry::new();
-        r.counter("b").add(2);
-        r.counter("a").inc();
-        r.counter("b").inc();
-        r.gauge("running").set(1);
-        r.histogram("lat").record(100);
-        assert_eq!(r.counter("b").get(), 3);
-        let json = r.render_json();
-        let a = json.find("\"a\":1").expect("counter a");
-        let b = json.find("\"b\":3").expect("counter b");
-        assert!(a < b, "names sorted: {json}");
-        assert!(json.contains("\"running\":1"));
-        assert!(json.contains("\"lat\":{\"count\":1"));
     }
 }

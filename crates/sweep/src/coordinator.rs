@@ -1,42 +1,36 @@
-//! The coordinator side: shard planning, worker pools (child processes or
-//! a TCP fleet), scheduling (static chunking or a shared work queue),
-//! crash/timeout recovery, and merging.
+//! One-shot sharded sweeps: their configuration ([`SweepConfig`],
+//! [`WorkerLaunch`], [`ShardStrategy`]), their errors ([`SweepError`]),
+//! and the entry points [`sharded_spec_experiment`] /
+//! [`sharded_tool_comparison`].
 //!
-//! The coordinator owns `workers` worker sessions — spawned child
-//! processes fed over stdio pipes, or connections to `sweep_worker
-//! --listen` processes over TCP ([`WorkerLaunch::Tcp`]) — performs the
-//! versioned handshake, and feeds each one shards.  A worker that crashes,
-//! exits nonzero, garbles the protocol, goes silent past the heartbeat
-//! deadline, or holds a shard past [`SweepConfig::shard_timeout`] is torn
-//! down and its shard re-queued on the shared queue; after
-//! [`SweepConfig::max_attempts`] failed attempts the whole sweep aborts
-//! with a structured [`SweepError::ShardExhausted`] (or
-//! [`SweepError::ShardTimedOut`] when the final failure was the budget
-//! expiring).  A TCP address that stops accepting connections retires its
-//! slot — remaining shards redistribute across the surviving fleet.
+//! A one-shot sweep is the daemon's scheduler ([`crate::serve`]) serving
+//! exactly one request and draining from the start: one fleet slot per
+//! spawned worker process, or one per [`WorkerLaunch::Tcp`] address, fed
+//! from the same job board under the same retry rules.  A shard that
+//! fails [`SweepConfig::max_attempts`] times aborts the sweep with
+//! [`SweepError::ShardExhausted`] (or [`SweepError::ShardTimedOut`] when
+//! the last failure was [`SweepConfig::shard_timeout`] expiring).  A TCP
+//! address that refuses connections retires its slot, and the surviving
+//! slots absorb its shards; when none survive, the sweep fails with
+//! [`SweepError::Spawn`].
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::{Command as ProcessCommand, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use effective_san::{sanitizers_with_baseline, Parallelism, SpecExperiment, ToolComparison};
 use san_api::SanitizerKind;
 use workloads::{Scale, SpecBenchmark};
 
-use crate::backoff::Backoff;
-use crate::net::{token_from_env, AttemptError, PipeTransport, TcpTransport, WorkerConn};
-use crate::shard::{merge_experiment, plan_shards, MergeError, Shard};
-use crate::wire::ShardSpec;
+use crate::net::token_from_env;
+use crate::shard::MergeError;
 
-/// How the coordinator hands shards to workers.
+/// How a one-shot sweep hands shards to its slots.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ShardStrategy {
-    /// Shards are assigned to workers round-robin up front; each worker
-    /// runs exactly its own partition (retries stay on the same slot,
-    /// on a fresh process, unless the slot itself dies).
+    /// Shards are pinned to slots round-robin up front; each slot runs
+    /// exactly its own partition (retries stay on the same slot, on a
+    /// fresh connection, until the slot itself retires).
     Static,
     /// Idle workers pull the next shard from a shared queue — the default,
     /// since it rides out skew in per-shard cost.
@@ -126,7 +120,7 @@ impl WorkerLaunch {
         }
     }
 
-    fn command(&self, env: &[(String, String)]) -> Result<ProcessCommand, String> {
+    pub(crate) fn command(&self, env: &[(String, String)]) -> Result<ProcessCommand, String> {
         let mut cmd = match self {
             WorkerLaunch::Bin(path) => ProcessCommand::new(path),
             WorkerLaunch::ReExec => {
@@ -144,33 +138,6 @@ impl WorkerLaunch {
         }
         cmd.stdin(Stdio::piped()).stdout(Stdio::piped());
         Ok(cmd)
-    }
-
-    /// Establish a worker session for slot `slot`: spawn-and-handshake for
-    /// pipe modes, connect-and-handshake for TCP (slot i maps to address
-    /// i mod fleet size, so each address backs one slot).
-    fn establish(
-        &self,
-        slot: usize,
-        env: &[(String, String)],
-        silence: Option<Duration>,
-        token: Option<&str>,
-    ) -> Result<WorkerConn, String> {
-        match self {
-            WorkerLaunch::Tcp(addrs) => {
-                let addr = &addrs[slot % addrs.len()];
-                let transport = TcpTransport::connect(addr, Some(Duration::from_secs(10)))
-                    .map_err(|e| e.to_string())?;
-                WorkerConn::establish(Box::new(transport), silence, token)
-            }
-            _ => {
-                let child = self
-                    .command(env)?
-                    .spawn()
-                    .map_err(|e| format!("spawn failed: {e}"))?;
-                WorkerConn::establish(Box::new(PipeTransport::new(child)), silence, token)
-            }
-        }
     }
 }
 
@@ -321,195 +288,6 @@ impl From<MergeError> for SweepError {
     }
 }
 
-struct PendingShard {
-    shard: Shard,
-    /// `Some(worker)` pins the shard to one worker slot (static mode).
-    preferred: Option<usize>,
-    attempts: usize,
-}
-
-struct Engine<'a> {
-    config: &'a SweepConfig,
-    queue: Mutex<VecDeque<PendingShard>>,
-    /// Shards popped from the queue but neither completed nor re-queued
-    /// yet: idle slots must not exit while this is nonzero, because a
-    /// failing slot may re-queue its shard for someone else to pick up.
-    in_flight: AtomicUsize,
-    /// Slots still able to run work; a TCP slot whose address stops
-    /// accepting connections retires itself and decrements this.
-    live_slots: AtomicUsize,
-    results: Mutex<Vec<Option<(String, usize, effective_san::SpecRow)>>>,
-    failure: Mutex<Option<SweepError>>,
-    abort: AtomicBool,
-    /// Per-slot heartbeat arrival-gap histograms (µs), recorded by each
-    /// slot's [`WorkerConn`] while shards run and summarised into the
-    /// sweep tracer at the end of the sweep.  Pure observation: results
-    /// are byte-identical with or without a tracer attached.
-    hb_gaps: Vec<Arc<obs::Histogram>>,
-}
-
-impl Engine<'_> {
-    fn fail(&self, error: SweepError) {
-        let mut failure = self.failure.lock().expect("failure lock");
-        if failure.is_none() {
-            *failure = Some(error);
-        }
-        self.abort.store(true, Ordering::SeqCst);
-    }
-
-    /// Pop the next shard this slot may run; increments `in_flight` under
-    /// the queue lock so "queue empty + nothing in flight" is an exact
-    /// termination condition.
-    fn next_for(&self, worker: usize) -> Option<PendingShard> {
-        let mut queue = self.queue.lock().expect("queue lock");
-        let idx = queue
-            .iter()
-            .position(|p| p.preferred.is_none_or(|w| w == worker))?;
-        let pending = queue.remove(idx);
-        if pending.is_some() {
-            self.in_flight.fetch_add(1, Ordering::SeqCst);
-        }
-        pending
-    }
-
-    /// Put a failed shard back for any eligible slot, then release the
-    /// in-flight hold (in that order, so idle slots never observe "empty
-    /// queue, nothing in flight" while the shard is limbo).
-    fn requeue(&self, pending: PendingShard) {
-        self.queue.lock().expect("queue lock").push_back(pending);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn terminal(&self, pending: &PendingShard, failure: AttemptError) -> SweepError {
-        match failure {
-            AttemptError::TimedOut(timeout) => SweepError::ShardTimedOut {
-                shard_id: pending.shard.id,
-                benchmark: pending.shard.benchmark.clone(),
-                attempts: pending.attempts,
-                timeout,
-            },
-            other => SweepError::ShardExhausted {
-                shard_id: pending.shard.id,
-                benchmark: pending.shard.benchmark.clone(),
-                attempts: pending.attempts,
-                last_error: other.message(),
-            },
-        }
-    }
-
-    /// One worker slot: owns at most one live session, pulls shards, and
-    /// replaces its session on failure.  Failed shards go back on the
-    /// shared queue (consuming an attempt); a TCP slot whose address is
-    /// unreachable retires so surviving slots absorb its work.
-    fn worker_loop(&self, slot: usize) {
-        let mut conn: Option<WorkerConn> = None;
-        let mut backoff = Backoff::from_env(0xC0_0DD1 ^ slot as u64);
-        'shards: loop {
-            if self.abort.load(Ordering::SeqCst) {
-                break;
-            }
-            let Some(mut pending) = self.next_for(slot) else {
-                // All pushes happen before in-flight drops, so "nothing
-                // in flight and the queue is empty" is authoritative;
-                // anything else (work in flight that may be re-queued, or
-                // queued work pinned to another slot) is worth waiting on.
-                if self.in_flight.load(Ordering::SeqCst) == 0
-                    && self.queue.lock().expect("queue lock").is_empty()
-                {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            };
-            let spec = ShardSpec {
-                id: pending.shard.id,
-                chunk: pending.shard.chunk,
-                scale: self.config.scale,
-                parallelism: self.config.parallelism,
-                benchmark: pending.shard.benchmark.clone(),
-                backends: pending.shard.backends.clone(),
-            };
-            let attempt = match conn.as_mut() {
-                Some(live) => live.run_shard(
-                    &spec,
-                    self.config.shard_timeout,
-                    self.config.silence_timeout,
-                ),
-                None => match self.config.worker.establish(
-                    slot,
-                    &self.config.worker_env,
-                    self.config.silence_timeout,
-                    self.config.token.as_deref(),
-                ) {
-                    Ok(mut live) => {
-                        live.observe_heartbeats(self.hb_gaps[slot].clone());
-                        conn.insert(live).run_shard(
-                            &spec,
-                            self.config.shard_timeout,
-                            self.config.silence_timeout,
-                        )
-                    }
-                    Err(e) => Err(AttemptError::Spawn(e)),
-                },
-            };
-            match attempt {
-                Ok((chunk, row)) => {
-                    backoff.reset();
-                    let mut results = self.results.lock().expect("results lock");
-                    results[pending.shard.id] = Some((pending.shard.benchmark.clone(), chunk, row));
-                    drop(results);
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
-                Err(failure) => {
-                    // The session (if any) is in an unknown protocol
-                    // state: replace it before anyone retries.
-                    if let Some(dead) = conn.take() {
-                        dead.kill();
-                    }
-                    pending.attempts += 1;
-                    if pending.attempts >= self.config.max_attempts {
-                        self.fail(self.terminal(&pending, failure));
-                        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                        break 'shards;
-                    }
-                    // A TCP address that refuses connections is gone for
-                    // good as far as this sweep is concerned: unpin the
-                    // shard, retire the slot, let the survivors absorb it.
-                    let slot_dead = matches!(failure, AttemptError::Spawn(_))
-                        && matches!(self.config.worker, WorkerLaunch::Tcp(_));
-                    if slot_dead {
-                        pending.preferred = None;
-                    }
-                    let last_error = failure.message();
-                    self.requeue(pending);
-                    // Respawn under the shared bounded-backoff schedule
-                    // instead of immediately: a crash-looping worker
-                    // binary (or a briefly unavailable TCP peer) is not
-                    // hammered, and a success snaps the delay back.
-                    if !slot_dead {
-                        std::thread::sleep(backoff.next_delay());
-                    }
-                    if slot_dead {
-                        let live = self.live_slots.fetch_sub(1, Ordering::SeqCst) - 1;
-                        if live == 0 {
-                            self.fail(SweepError::Spawn {
-                                message: format!(
-                                    "every TCP worker became unreachable with work remaining; \
-                                     last error: {last_error}"
-                                ),
-                            });
-                        }
-                        break 'shards;
-                    }
-                }
-            }
-        }
-        if let Some(live) = conn {
-            live.shutdown();
-        }
-    }
-}
-
 /// Resolve the benchmark list for a sweep (`None` = all 19, like
 /// `spec_experiment`), validating names up front so a typo fails before
 /// any process is spawned.
@@ -565,87 +343,7 @@ pub fn sharded_spec_experiment(
     config: &SweepConfig,
 ) -> Result<SpecExperiment, SweepError> {
     config.worker.validate()?;
-    let benchmarks = resolve_benchmarks(names);
-    let slots = match &config.worker {
-        WorkerLaunch::Tcp(addrs) => addrs.len(),
-        _ => config.workers,
-    };
-    let shards = plan_shards(&benchmarks, sanitizers, slots);
-    let workers = slots.clamp(1, shards.len().max(1));
-
-    let engine = Engine {
-        config,
-        queue: Mutex::new(
-            shards
-                .into_iter()
-                .map(|shard| PendingShard {
-                    preferred: match config.strategy {
-                        ShardStrategy::Static => Some(shard.id % workers),
-                        ShardStrategy::WorkQueue => None,
-                    },
-                    shard,
-                    attempts: 0,
-                })
-                .collect(),
-        ),
-        in_flight: AtomicUsize::new(0),
-        live_slots: AtomicUsize::new(workers),
-        results: Mutex::new(Vec::new()),
-        failure: Mutex::new(None),
-        abort: AtomicBool::new(false),
-        hb_gaps: (0..workers)
-            .map(|_| Arc::new(obs::Histogram::new()))
-            .collect(),
-    };
-    {
-        let mut results = engine.results.lock().expect("results lock");
-        results.resize_with(engine.queue.lock().expect("queue lock").len(), || None);
-    }
-
-    std::thread::scope(|scope| {
-        for slot in 0..workers {
-            let engine = &engine;
-            scope.spawn(move || engine.worker_loop(slot));
-        }
-    });
-
-    // Summarise each slot's heartbeat arrival gaps into the sweep tracer
-    // (`SWEEP_TRACE`); one event per slot even when no heartbeat arrived,
-    // so a traced run always documents its fleet.
-    let tracer = obs::sweep_tracer();
-    if tracer.enabled() {
-        for (slot, gaps) in engine.hb_gaps.iter().enumerate() {
-            let summary = gaps.snapshot().summary();
-            tracer.event(
-                "sweep_worker_hb",
-                &[
-                    ("slot", slot.into()),
-                    ("gap_count", summary.count.into()),
-                    ("gap_min_us", summary.min.into()),
-                    ("gap_p50_us", summary.p50.into()),
-                    ("gap_p99_us", summary.p99.into()),
-                    ("gap_max_us", summary.max.into()),
-                ],
-            );
-        }
-    }
-
-    if let Some(error) = engine.failure.lock().expect("failure lock").take() {
-        return Err(error);
-    }
-    let fragments: Vec<(String, usize, effective_san::SpecRow)> = engine
-        .results
-        .into_inner()
-        .expect("results lock")
-        .into_iter()
-        .flatten()
-        .collect();
-    Ok(merge_experiment(
-        config.scale,
-        &benchmarks,
-        sanitizers,
-        fragments,
-    )?)
+    crate::serve::sweep_once(config, resolve_benchmarks(names), sanitizers)
 }
 
 /// The §6.2 tool comparison computed from a process-sharded sweep: the

@@ -1,17 +1,20 @@
 //! # sweep
 //!
-//! Process-sharded (benchmark × backend) sweeps: the scaling step after
-//! PR 3's thread-parallel matrix, and the on-ramp to multi-machine runs.
+//! Process- and TCP-sharded (benchmark × backend) sweeps: the scaling
+//! step after the thread-parallel matrix, and the on-ramp to
+//! multi-machine runs.
 //!
-//! A **coordinator** ([`sharded_spec_experiment`] /
-//! [`sharded_tool_comparison`], or the `sweep` CLI bin) partitions the
-//! matrix into shards ([`shard::plan_shards`]), spawns worker OS processes
-//! (the `sweep_worker` bin, or `SAN_WORKER=1` re-exec), and speaks a
-//! versioned line-oriented protocol ([`wire`]) over their stdin/stdout.
-//! Workers run each shard through the ordinary in-process pipeline and
-//! stream typed results back; the coordinator reassigns the shard of any
-//! crashed or misbehaving worker to a fresh process (bounded by
-//! [`SweepConfig::max_attempts`]) and merges the fragments into the same
+//! One scheduler ([`serve`]) runs every sweep mode.  A one-shot sweep
+//! ([`sharded_spec_experiment`] / [`sharded_tool_comparison`], or the
+//! `sweep` CLI bin) is that scheduler serving exactly one request and
+//! draining from the start; the `sweep serve` daemon
+//! ([`serve::serve_forever`]) serves many clients until it is shut down.
+//! The scheduler partitions the matrix into shards
+//! ([`shard::plan_shards`]), feeds them to worker processes (the
+//! `sweep_worker` bin, `SAN_WORKER=1` re-exec, or `sweep_worker --listen`
+//! over TCP) through a versioned line-oriented protocol ([`wire`]),
+//! re-queues the shard of any crashed or misbehaving worker (bounded by
+//! [`SweepConfig::max_attempts`]), and merges the fragments into the same
 //! `SpecRow`/`SpecExperiment` shapes the in-process sweep produces.
 //!
 //! Because every per-backend run owns an isolated simulated address space,

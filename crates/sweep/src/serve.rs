@@ -1,26 +1,38 @@
-//! The `sweep serve` daemon: a long-running coordinator that accepts
-//! sweep requests from many concurrent clients over TCP and schedules
-//! their shards across a `sweep_worker` fleet.
+//! The sweep scheduler, and the `sweep serve` daemon built on it.
 //!
-//! Architecture: one fleet thread per worker slot holds a persistent
-//! [`WorkerConn`]; one client thread per accepted connection decodes a
-//! [`wire::SweepRequest`], plans its shards with the same
-//! [`crate::shard::plan_shards`] the in-process coordinator uses, and
-//! pushes them onto a **global** work queue all requests share.  Idle
-//! fleet threads pull from that queue (work-stealing), with **result
-//! affinity**: the first worker to run a chunk of a `(request,
-//! benchmark)` pair claims the pair, and its remaining chunks prefer
-//! that worker — stolen only when a thief has nothing else to do, which
-//! moves the claim wholesale.
+//! One scheduler serves every sweep mode.  The daemon ([`serve_forever`])
+//! accepts sweep requests from many concurrent clients over TCP; a
+//! one-shot `sweep --workers N` or `--tcp-workers` run
+//! ([`crate::sharded_spec_experiment`]) is the same scheduler serving
+//! exactly one request and draining from the start.
 //!
-//! Fleet slots come in two kinds.  **Dial-out** slots are the static
-//! `--tcp-workers` list: their fleet threads redial forever (under the
-//! shared [`Backoff`] schedule), so the slot is permanently live.
-//! **Registered** slots are created at runtime when a `sweep_worker
-//! --join` process dials the daemon's `--register-listen` address: the
-//! slot joins the fleet immediately (picking up already-queued jobs)
-//! and retires when its connection dies, re-queueing its in-flight
-//! shard under the request's existing attempts budget.
+//! The **board** is one global queue of jobs — a job is one shard of one
+//! request, planned by [`crate::shard::plan_shards`] — shared by every
+//! request.  Each fleet slot runs one loop: pull a job, run it on the
+//! slot's worker connection, deliver or re-queue the outcome.  Pulls
+//! follow **result affinity**: the first slot to run a chunk of a
+//! `(request, benchmark)` pair claims the pair, and its remaining chunks
+//! prefer that slot — stolen only by a slot with nothing else to do,
+//! which moves the claim wholesale.  A job **pinned** to a slot
+//! (`--strategy static`) is never picked by any other slot.
+//!
+//! Slots differ only in how they get a connection, and that source, with
+//! the drain state, decides what a failed attempt costs:
+//!
+//! * a **spawned** pipe worker whose spawn fails burns an attempt and
+//!   respawns under the shared [`Backoff`] schedule;
+//! * a **dial-out** address (`--tcp-workers`) that refuses the dial burns
+//!   nothing: the slot redials under backoff while the scheduler serves,
+//!   and retires while it drains;
+//! * a **registered** worker (`sweep_worker --join` dialling
+//!   `--register-listen`) retires on its first failure.
+//!
+//! Any other failure — a crash, a garbled line, silence past the
+//! deadline, a blown shard budget — burns an attempt and re-queues the
+//! job; a job out of attempts fails only its own request (`sfail`), never
+//! the daemon.  A retiring slot unpins its jobs, so the survivors take
+//! them.  When the last live slot retires with work still queued, every
+//! pending request fails with the last error instead of waiting forever.
 //!
 //! Every connection class — client, dial-out worker, registered worker —
 //! is gated by the optional shared token (wire-v7 `auth` frame): a
@@ -33,20 +45,16 @@
 //! like everything else) stops intake, drains in-flight requests to
 //! their structured end, releases the fleet, and lets the process exit 0.
 //!
-//! Rows stream back to each client incrementally: as soon as every chunk
-//! of one benchmark has arrived, the fragments are merged (the same
-//! [`crate::shard::merge_experiment`] path as in-process sharding) and
-//! the row goes out as an `srow` event tagged with its request-order
-//! index — the byte-identical-merge SLA, kept one row at a time.  A
-//! failed shard is re-queued under the request's `max_attempts` budget; a
-//! shard that exhausts it fails only its own request (`sfail`), never the
-//! daemon.  A dead or silent worker's connection is torn down and
-//! re-established by its fleet thread (dial-out) or retired (registered);
-//! a client that disconnects mid-stream has its request cancelled and its
-//! queued shards dropped.
+//! Rows stream back incrementally: as soon as every chunk of one
+//! benchmark has arrived, the fragments are merged (the same
+//! [`crate::shard::merge_experiment`] a whole sweep would use) and the
+//! row goes out — as an `srow` event tagged with its request-order index
+//! for a daemon client — the byte-identical-merge SLA, kept one row at a
+//! time.  A client that disconnects mid-stream has its request cancelled
+//! and its queued shards dropped.
 //!
-//! Fault isolation: a panic in one client or fleet thread fails only the
-//! affected request — fleet threads convert panics into failed shard
+//! Fault isolation: a panic in one client or slot thread fails only the
+//! affected request — slot threads convert panics into failed shard
 //! attempts, client threads answer theirs with a structured `sfail` —
 //! and the shared board recovers from mutex poisoning instead of letting
 //! one dead thread wedge every other request behind a poisoned lock.
@@ -60,14 +68,18 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use effective_san::{Parallelism, SpecRow};
+use effective_san::{Parallelism, SpecExperiment, SpecRow};
 use obs::{sweep_tracer, Counter, Gauge, Histogram};
+use san_api::SanitizerKind;
 use workloads::{Scale, SpecBenchmark};
 
 use crate::backoff::Backoff;
-use crate::net::{token_from_env, AttemptError, TcpTransport, WorkerConn};
-use crate::shard::{merge_experiment, plan_shards, Shard};
-use crate::wire::{self, IoLines, LineSource, ServiceEvent, ShardSpec};
+use crate::coordinator::{ShardStrategy, SweepConfig, SweepError, WorkerLaunch};
+use crate::net::{
+    token_from_env, AttemptError, PipeTransport, TcpTransport, Transport, WorkerConn,
+};
+use crate::shard::{merge_experiment, plan_shards, MergeError, Shard};
+use crate::wire::{self, IoLines, LineSource, ServiceEvent, ShardSpec, SweepRequest};
 
 /// Configuration of a [`serve_forever`] daemon.
 #[derive(Clone, Debug)]
@@ -143,9 +155,11 @@ struct Job {
     parallelism: Parallelism,
     shard: Shard,
     attempts: usize,
+    /// `Some(slot)` pins the job to one slot (`ShardStrategy::Static`).
+    pinned: Option<usize>,
 }
 
-/// What a fleet thread reports back to a request's client thread.
+/// What a slot reports back to a request's row stream.
 enum JobOutcome {
     /// One chunk's fragment, ready for per-benchmark merging.
     Fragment {
@@ -153,8 +167,32 @@ enum JobOutcome {
         chunk: usize,
         row: SpecRow,
     },
-    /// A shard ran out of attempts; the whole request fails.
-    Exhausted { benchmark: String, message: String },
+    /// The request cannot complete.
+    End(Halt),
+}
+
+/// Why one request's row stream ended early.
+enum Halt {
+    /// A job ran out of attempts; the error is its last failure.
+    Exhausted(Box<Job>, AttemptError),
+    /// Nothing is left to run the request (no live slot, or shutdown).
+    Failed(String),
+    /// A benchmark's fragments did not reassemble.
+    Merge(MergeError),
+    /// The row consumer hung up.
+    Gone,
+}
+
+/// How a fleet slot gets its worker connection: the one thing that
+/// differs between slots, and (with the drain state) what decides the
+/// cost of a failed attempt.
+enum SlotSource {
+    /// Spawn a worker process and talk over its stdio pipes.
+    Spawn(WorkerLaunch, Vec<(String, String)>),
+    /// Dial a `sweep_worker --listen` address.
+    Dial(String),
+    /// A worker that registered itself: its one connection is the slot.
+    Registered,
 }
 
 /// Progress of one live request, maintained alongside its result channel
@@ -200,14 +238,12 @@ enum Admission {
 /// the board lock and the stats snapshot reads them without stalling
 /// anyone.
 struct WorkerTelemetry {
-    /// The worker's address as the daemon dials it (dial-out) or saw it
-    /// connect (registered).
+    /// The worker's address as the slot dials it (dial-out), saw it
+    /// connect (registered), or `pipe` for a spawned worker.
     addr: String,
     /// Whether the slot joined via the registration listener.
     registered: bool,
-    /// 1 while the slot is serviceable.  Dial-out slots stay live (their
-    /// fleet thread redials forever); a registered slot goes 0 when its
-    /// worker departs.
+    /// 1 while the slot is serviceable; 0 once it retired or drained.
     live: Gauge,
     /// 1 while the slot is running a shard attempt, 0 while idle.
     busy: Gauge,
@@ -242,17 +278,19 @@ impl WorkerTelemetry {
     }
 }
 
-/// The queue, its condvar, the options every thread needs, and the
-/// daemon's live telemetry (all-atomic, read by the `stats` frame).
+/// The scheduler: the board, its condvar, the options every thread
+/// needs, and the fleet's live telemetry (all-atomic, read by the
+/// daemon's `stats` frame).
 struct Scheduler {
     board: Mutex<Board>,
     work_ready: Condvar,
     options: ServeOptions,
     /// One telemetry block per fleet slot, in slot order.  Append-only:
-    /// dial-out slots at construction, registered slots as workers join
-    /// (a departed slot keeps its index, with `live` at 0).
+    /// dial-out slots at construction, the rest as they join (a retired
+    /// slot keeps its index, with `live` at 0).
     telemetry: Mutex<Vec<Arc<WorkerTelemetry>>>,
-    /// Set once by the `shutdown` control frame; every loop drains.
+    /// Set once by the `shutdown` control frame (from the start for a
+    /// one-shot sweep); every loop drains.
     shutting_down: AtomicBool,
     /// The daemon's own bound addresses, self-connected on shutdown to
     /// wake the blocking accept loops.
@@ -301,43 +339,31 @@ impl Scheduler {
         self.board.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The telemetry block of one slot (the vec is append-only, so the
-    /// index is stable for the slot's lifetime).
-    fn telemetry(&self, slot: usize) -> Arc<WorkerTelemetry> {
-        let telemetry = self
-            .telemetry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        telemetry[slot].clone()
-    }
-
-    /// A point-in-time copy of every slot's telemetry handle.
-    fn telemetry_snapshot(&self) -> Vec<Arc<WorkerTelemetry>> {
+    /// Every slot's telemetry block, in slot order.  The vec is
+    /// append-only, so a slot's index is stable for its lifetime.
+    fn slots(&self) -> MutexGuard<'_, Vec<Arc<WorkerTelemetry>>> {
         self.telemetry
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 
-    /// Append a new fleet slot (a registered worker joining at runtime)
-    /// and return its index and telemetry.
+    /// The telemetry block of one slot.
+    fn telemetry(&self, slot: usize) -> Arc<WorkerTelemetry> {
+        self.slots()[slot].clone()
+    }
+
+    /// Append a new fleet slot (a registered worker joining at runtime,
+    /// or a one-shot sweep's slot) and return its index and telemetry.
     fn add_slot(&self, addr: &str, registered: bool) -> (usize, Arc<WorkerTelemetry>) {
-        let mut telemetry = self
-            .telemetry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let slot = telemetry.len();
+        let mut slots = self.slots();
         let block = Arc::new(WorkerTelemetry::new(addr, registered));
-        telemetry.push(block.clone());
-        (slot, block)
+        slots.push(block.clone());
+        (slots.len() - 1, block)
     }
 
     /// How many slots are currently serviceable.
     fn live_workers(&self) -> usize {
-        self.telemetry_snapshot()
-            .iter()
-            .filter(|t| t.live.get() != 0)
-            .count()
+        self.slots().iter().filter(|t| t.live.get() != 0).count()
     }
 
     fn shutting_down(&self) -> bool {
@@ -357,14 +383,7 @@ impl Scheduler {
             &[("live_workers", self.live_workers().into())],
         );
         if self.live_workers() == 0 {
-            let mut board = self.lock_board();
-            board.queue.clear();
-            for tx in board.requests.values() {
-                let _ = tx.send(JobOutcome::Exhausted {
-                    benchmark: "*".to_string(),
-                    message: "daemon is shutting down with no live workers".to_string(),
-                });
-            }
+            self.fail_pending("daemon is shutting down with no live workers");
         }
         self.work_ready.notify_all();
         // Accept loops block in `incoming()`; a throwaway self-connect
@@ -379,13 +398,56 @@ impl Scheduler {
         }
     }
 
+    /// Fail every pending request with `message` when work is queued that
+    /// no live slot will ever run.
+    fn fail_pending(&self, message: &str) {
+        let mut board = self.lock_board();
+        if board.queue.is_empty() {
+            return;
+        }
+        board.queue.clear();
+        for tx in board.requests.values() {
+            let _ = tx.send(JobOutcome::End(Halt::Failed(message.to_string())));
+        }
+    }
+
+    /// Take slot `slot` out of the fleet: unpin its queued jobs (the one
+    /// it just re-queued included) and drop its claims, so the survivors
+    /// take them over.  The last live slot to retire with work still
+    /// queued fails every pending request.
+    fn retire(&self, slot: usize, telemetry: &WorkerTelemetry, last_error: &str) {
+        telemetry.live.set(0);
+        eprintln!("sweep: worker {} retired: {last_error}", telemetry.addr);
+        sweep_tracer().event(
+            "serve_worker_depart",
+            &[
+                ("slot", slot.into()),
+                ("addr", telemetry.addr.as_str().into()),
+                ("error", last_error.into()),
+            ],
+        );
+        {
+            let mut board = self.lock_board();
+            for job in board.queue.iter_mut().filter(|j| j.pinned == Some(slot)) {
+                job.pinned = None;
+            }
+            board.affinity.retain(|_, claimant| *claimant != slot);
+        }
+        if self.live_workers() == 0 {
+            self.fail_pending(&format!(
+                "every TCP worker became unreachable with work remaining; last error: {last_error}"
+            ));
+        }
+        self.work_ready.notify_all();
+    }
+
     /// Pull the next job slot `slot` should run: first a job whose
     /// `(request, benchmark)` this slot already claimed, then an
     /// unclaimed one (claiming it), then — with nothing better to do —
-    /// steal a claimed pair wholesale.  Blocks until work arrives;
-    /// `None` is the drain signal (the daemon is shutting down and
-    /// every job has been delivered), upon which the fleet thread
-    /// releases its worker and exits.
+    /// steal a claimed pair wholesale.  Jobs pinned to another slot are
+    /// never taken.  Blocks until work arrives; `None` is the drain
+    /// signal (the scheduler is draining and every job has been
+    /// delivered), upon which the slot releases its worker and exits.
     fn next_for(&self, slot: usize) -> Option<Job> {
         let mut board = self.lock_board();
         loop {
@@ -400,7 +462,7 @@ impl Scheduler {
                 board.in_flight += 1;
                 // A pair previously claimed by another slot moves here
                 // wholesale: that is a steal, worth counting and tracing.
-                if let Some(victim) = prior.filter(|&p| p != slot) {
+                if let Some(victim) = prior.filter(|&p| p != slot && job.pinned.is_none()) {
                     self.telemetry(slot).steals.inc();
                     sweep_tracer().event(
                         "serve_steal",
@@ -434,16 +496,12 @@ impl Scheduler {
                 .get(&(job.req_id, job.shard.benchmark.clone()))
                 .copied()
         };
-        board
-            .queue
-            .iter()
-            .position(|job| claim(job) == Some(slot))
-            .or_else(|| board.queue.iter().position(|job| claim(job).is_none()))
-            .or(if board.queue.is_empty() {
-                None
-            } else {
-                Some(0)
-            })
+        let ours = |job: &Job| job.pinned.is_none_or(|p| p == slot);
+        let find =
+            |rule: &dyn Fn(&Job) -> bool| board.queue.iter().position(|job| ours(job) && rule(job));
+        find(&|job| claim(job) == Some(slot))
+            .or_else(|| find(&|job| claim(job).is_none()))
+            .or_else(|| find(&|_| true))
     }
 
     /// Deliver a job outcome to its request, if the request still exists.
@@ -470,18 +528,15 @@ impl Scheduler {
 
     /// One shard attempt failed: burn an attempt (unless the failure
     /// never reached the worker), then exhaust the request or put the
-    /// job back on the queue for any slot to take over.
-    fn finish_failure(&self, slot: usize, mut job: Job, burned: bool, message: String) {
+    /// job back on the queue for an eligible slot to take over.
+    fn finish_failure(&self, slot: usize, mut job: Job, burned: bool, error: AttemptError) {
         if burned {
             job.attempts += 1;
         }
         if job.attempts >= self.options.max_attempts {
             self.deliver(
                 job.req_id,
-                JobOutcome::Exhausted {
-                    benchmark: job.shard.benchmark.clone(),
-                    message,
-                },
+                JobOutcome::End(Halt::Exhausted(Box::new(job), error)),
             );
         } else {
             sweep_tracer().event(
@@ -492,7 +547,7 @@ impl Scheduler {
                     ("slot", slot.into()),
                     ("attempts", job.attempts.into()),
                     ("burned", burned.into()),
-                    ("error", message.as_str().into()),
+                    ("error", error.message().as_str().into()),
                 ],
             );
             let mut board = self.lock_board();
@@ -504,6 +559,37 @@ impl Scheduler {
             board.queue.push_back(job);
             drop(board);
             self.work_ready.notify_all();
+        }
+    }
+
+    /// Queue one request's planned shards — pinned round-robin across
+    /// `pin_slots` slots when set — and register `tx` for its outcomes.
+    fn enqueue(
+        board: &mut Board,
+        req_id: u64,
+        request: &SweepRequest,
+        shards: Vec<Shard>,
+        pin_slots: Option<usize>,
+        tx: mpsc::Sender<JobOutcome>,
+    ) {
+        board.requests.insert(req_id, tx);
+        board.progress.insert(
+            req_id,
+            Progress {
+                benchmarks: request.benchmarks.len() as u64,
+                jobs_total: shards.len() as u64,
+                jobs_done: 0,
+            },
+        );
+        for shard in shards {
+            board.queue.push_back(Job {
+                req_id,
+                scale: request.scale,
+                parallelism: request.parallelism,
+                pinned: pin_slots.map(|n| shard.id % n),
+                shard,
+                attempts: 0,
+            });
         }
     }
 
@@ -567,7 +653,7 @@ impl Scheduler {
     /// board lock for the queue/progress view; every per-worker figure is
     /// atomic, read without blocking the fleet.
     fn snapshot_stats(&self) -> wire::ServiceStats {
-        let telemetry = self.telemetry_snapshot();
+        let telemetry = self.slots().clone();
         let board = self.lock_board();
         let queued_jobs = board.queue.len() as u64;
         let pending_requests = board.requests.len() as u64;
@@ -627,22 +713,36 @@ impl Scheduler {
         }
     }
 
-    /// One dial-out fleet thread: own (and re-own) a connection to
-    /// `addr`, run pulled jobs on it, re-queue failures.  Reconnect
-    /// attempts back off under the shared jittered schedule instead of
-    /// hammering a worker that is down.
-    fn fleet_dialout(&self, slot: usize, addr: &str) {
+    /// Acquire a fresh worker connection from `source`.
+    fn connect(&self, source: &SlotSource) -> Result<WorkerConn, String> {
+        let transport: Box<dyn Transport> = match source {
+            SlotSource::Spawn(launch, env) => Box::new(PipeTransport::new(
+                launch
+                    .command(env)?
+                    .spawn()
+                    .map_err(|e| format!("spawn failed: {e}"))?,
+            )),
+            SlotSource::Dial(addr) => Box::new(
+                TcpTransport::connect(addr, Some(Duration::from_secs(10)))
+                    .map_err(|e| e.to_string())?,
+            ),
+            SlotSource::Registered => return Err("registered worker is gone".to_string()),
+        };
+        WorkerConn::establish(
+            transport,
+            self.options.silence_timeout,
+            self.options.token.as_deref(),
+        )
+    }
+
+    /// One fleet slot: pull jobs, run each on the slot's connection
+    /// (acquiring one from `source` whenever it has none), and deliver or
+    /// re-queue the outcome until the scheduler drains or the slot
+    /// retires.  The module docs state what each failure costs.
+    fn run_slot(&self, slot: usize, source: SlotSource, mut conn: Option<WorkerConn>) {
         let telemetry = self.telemetry(slot);
-        let mut conn: Option<WorkerConn> = None;
         let mut backoff = Backoff::from_env(0xD1A1_0007 ^ slot as u64);
-        loop {
-            let Some(job) = self.next_for(slot) else {
-                // Drained: release the worker politely and exit.
-                if let Some(live) = conn.take() {
-                    live.shutdown();
-                }
-                return;
-            };
+        while let Some(job) = self.next_for(slot) {
             let spec = ShardSpec {
                 id: job.shard.id,
                 chunk: job.shard.chunk,
@@ -651,39 +751,25 @@ impl Scheduler {
                 benchmark: job.shard.benchmark.clone(),
                 backends: job.shard.backends.clone(),
             };
-            // A panic anywhere in the attempt (connection handling, the
-            // wire decoder, shard plumbing) must not kill this fleet
-            // thread with the job checked out — that would shrink the
-            // fleet forever and wedge the job's request.  Convert it to a
-            // failed attempt so the normal retry/exhaust path fails only
-            // the affected request.
+            // A panic anywhere in the attempt must not kill this thread
+            // with the job checked out — that would shrink the fleet and
+            // wedge the job's request.  It becomes a failed attempt.
             telemetry.busy.set(1);
             let attempt_started = Instant::now();
-            let attempt = catch_unwind(AssertUnwindSafe(|| match &mut conn {
-                Some(live) => live.run_shard(
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                let live = match &mut conn {
+                    Some(live) => live,
+                    None => {
+                        let mut fresh = self.connect(&source).map_err(AttemptError::Spawn)?;
+                        fresh.observe_heartbeats(telemetry.hb_gaps.clone());
+                        conn.insert(fresh)
+                    }
+                };
+                live.run_shard(
                     &spec,
                     self.options.shard_timeout,
                     self.options.silence_timeout,
-                ),
-                None => match TcpTransport::connect(addr, Some(Duration::from_secs(10)))
-                    .map_err(|e| e.to_string())
-                    .and_then(|t| {
-                        WorkerConn::establish(
-                            Box::new(t),
-                            self.options.silence_timeout,
-                            self.options.token.as_deref(),
-                        )
-                    }) {
-                    Ok(mut live) => {
-                        live.observe_heartbeats(telemetry.hb_gaps.clone());
-                        conn.insert(live).run_shard(
-                            &spec,
-                            self.options.shard_timeout,
-                            self.options.silence_timeout,
-                        )
-                    }
-                    Err(e) => Err(AttemptError::Spawn(e)),
-                },
+                )
             }))
             .unwrap_or_else(|payload| {
                 Err(AttemptError::Failed(format!(
@@ -692,123 +778,49 @@ impl Scheduler {
                 )))
             });
             telemetry.busy.set(0);
-            match attempt {
+            let error = match attempt {
                 Ok((chunk, row)) => {
                     backoff.reset();
                     telemetry.completed.inc();
                     telemetry
                         .latency
                         .record(attempt_started.elapsed().as_micros() as u64);
-                    self.deliver(
-                        job.req_id,
-                        JobOutcome::Fragment {
-                            benchmark: job.shard.benchmark.clone(),
-                            chunk,
-                            row,
-                        },
-                    )
+                    let benchmark = job.shard.benchmark.clone();
+                    let fragment = JobOutcome::Fragment {
+                        benchmark,
+                        chunk,
+                        row,
+                    };
+                    self.deliver(job.req_id, fragment);
+                    continue;
                 }
-                Err(failure) => {
-                    telemetry.failed.inc();
-                    if let Some(dead) = conn.take() {
-                        dead.kill();
-                    }
-                    // Connect failures leave the shard's attempt budget
-                    // alone — the worker may just be restarting, and
-                    // another fleet thread can steal the job meanwhile.
-                    let burned = !matches!(failure, AttemptError::Spawn(_));
-                    self.finish_failure(slot, job, burned, failure.message());
-                    if !burned {
-                        // Do not spin reconnect attempts hot.
-                        std::thread::sleep(backoff.next_delay());
-                    }
-                }
+                Err(error) => error,
+            };
+            telemetry.failed.inc();
+            if let Some(dead) = conn.take() {
+                dead.kill();
             }
-        }
-    }
-
-    /// One registered fleet slot: run pulled jobs on the worker that
-    /// dialled in, until its connection dies — then re-queue the
-    /// in-flight shard (burning an attempt of its budget), mark the slot
-    /// dead, and exit.  The worker rejoining creates a fresh slot.
-    fn fleet_registered(&self, slot: usize, telemetry: Arc<WorkerTelemetry>, conn: WorkerConn) {
-        let mut conn = Some(conn);
-        loop {
-            let Some(job) = self.next_for(slot) else {
-                telemetry.live.set(0);
-                if let Some(live) = conn.take() {
-                    live.shutdown();
-                }
-                eprintln!(
-                    "sweep serve: registered worker {} released at shutdown",
-                    telemetry.addr
-                );
+            let refused = matches!(
+                (&error, &source),
+                (AttemptError::Spawn(_), SlotSource::Dial(_))
+            );
+            let retire = match source {
+                SlotSource::Spawn(..) => false,
+                SlotSource::Dial(_) => refused && self.shutting_down(),
+                SlotSource::Registered => true,
+            };
+            let message = error.message();
+            self.finish_failure(slot, job, !refused, error);
+            if retire {
+                self.retire(slot, &telemetry, &message);
                 return;
-            };
-            let spec = ShardSpec {
-                id: job.shard.id,
-                chunk: job.shard.chunk,
-                scale: job.scale,
-                parallelism: job.parallelism,
-                benchmark: job.shard.benchmark.clone(),
-                backends: job.shard.backends.clone(),
-            };
-            telemetry.busy.set(1);
-            let attempt_started = Instant::now();
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                conn.as_mut()
-                    .expect("registered connection live")
-                    .run_shard(
-                        &spec,
-                        self.options.shard_timeout,
-                        self.options.silence_timeout,
-                    )
-            }))
-            .unwrap_or_else(|payload| {
-                Err(AttemptError::Failed(format!(
-                    "fleet thread panicked while running the shard: {}",
-                    panic_message(payload.as_ref())
-                )))
-            });
-            telemetry.busy.set(0);
-            match attempt {
-                Ok((chunk, row)) => {
-                    telemetry.completed.inc();
-                    telemetry
-                        .latency
-                        .record(attempt_started.elapsed().as_micros() as u64);
-                    self.deliver(
-                        job.req_id,
-                        JobOutcome::Fragment {
-                            benchmark: job.shard.benchmark.clone(),
-                            chunk,
-                            row,
-                        },
-                    )
-                }
-                Err(failure) => {
-                    telemetry.failed.inc();
-                    telemetry.live.set(0);
-                    if let Some(dead) = conn.take() {
-                        dead.kill();
-                    }
-                    let message = failure.message();
-                    eprintln!(
-                        "sweep serve: registered worker {} departed: {message}",
-                        telemetry.addr
-                    );
-                    sweep_tracer().event(
-                        "serve_worker_depart",
-                        &[
-                            ("slot", slot.into()),
-                            ("addr", telemetry.addr.as_str().into()),
-                            ("error", message.as_str().into()),
-                        ],
-                    );
-                    self.finish_failure(slot, job, true, message);
-                    return;
-                }
             }
+            std::thread::sleep(backoff.next_delay());
+        }
+        // Drained: release the worker politely.
+        telemetry.live.set(0);
+        if let Some(live) = conn {
+            live.shutdown();
         }
     }
 
@@ -908,11 +920,6 @@ impl Scheduler {
             &request.backends,
             self.live_workers().max(1),
         );
-        let chunks_per_bench = shards
-            .iter()
-            .filter(|s| s.benchmark == request.benchmarks[0])
-            .count()
-            .max(1);
         let total_jobs = shards.len();
         let (tx, rx) = mpsc::channel();
         {
@@ -948,24 +955,7 @@ impl Scheduler {
                     return;
                 }
             }
-            board.requests.insert(req_id, tx);
-            board.progress.insert(
-                req_id,
-                Progress {
-                    benchmarks: request.benchmarks.len() as u64,
-                    jobs_total: total_jobs as u64,
-                    jobs_done: 0,
-                },
-            );
-            for shard in shards {
-                board.queue.push_back(Job {
-                    req_id,
-                    scale: request.scale,
-                    parallelism: request.parallelism,
-                    shard,
-                    attempts: 0,
-                });
-            }
+            Self::enqueue(&mut board, req_id, &request, shards, None, tx);
         }
         self.requests_total.inc();
         eprintln!(
@@ -988,87 +978,86 @@ impl Scheduler {
             return;
         }
 
-        let index_of: HashMap<&str, usize> = request
-            .benchmarks
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.as_str(), i))
-            .collect();
-        let mut fragments: HashMap<String, Vec<(usize, SpecRow)>> = HashMap::new();
-        let mut outcome = Ok(());
-        for _ in 0..total_jobs {
-            let (benchmark, chunk, row) = match rx.recv() {
-                Ok(JobOutcome::Fragment {
-                    benchmark,
-                    chunk,
-                    row,
-                }) => (benchmark, chunk, row),
-                Ok(JobOutcome::Exhausted { benchmark, message }) => {
-                    outcome = Err(format!(
-                        "shard of benchmark `{benchmark}` failed after {} attempts: {message}",
-                        self.options.max_attempts
-                    ));
-                    break;
-                }
-                // Every sender is gone with fragments still owed: the
-                // daemon is shutting down.
-                Err(_) => {
-                    outcome = Err("sweep service shut down mid-request".to_string());
-                    break;
-                }
-            };
-            let parts = fragments.entry(benchmark.clone()).or_default();
-            parts.push((chunk, row));
-            if parts.len() < chunks_per_bench {
-                continue;
-            }
-            // Merge this benchmark's chunks through the same path the
-            // in-process coordinator uses, then stream the row out.
-            let parts = fragments.remove(&benchmark).expect("entry just filled");
-            let merged = merge_experiment(
-                request.scale,
-                std::slice::from_ref(&benchmark),
-                &request.backends,
-                parts
-                    .into_iter()
-                    .map(|(chunk, row)| (benchmark.clone(), chunk, row))
-                    .collect(),
-            );
-            let row = match merged.map(|mut e| e.rows.pop()) {
-                Ok(Some(row)) => row,
-                Ok(None) | Err(_) => {
-                    outcome = Err(format!(
-                        "merging benchmark `{benchmark}` failed: worker fragments disagree"
-                    ));
-                    break;
-                }
-            };
-            let index = index_of[benchmark.as_str()];
-            if !send(&wire::encode_service_event(&ServiceEvent::Row {
+        let streamed = merge_rows(&request, total_jobs, &rx, |index, row| {
+            send(&wire::encode_service_event(&ServiceEvent::Row {
                 index,
                 row,
-            })) {
-                // Client hung up mid-stream: stop feeding it.
-                self.cancel_gone_client(req_id, "mid-stream");
-                return;
-            }
-        }
-        match outcome {
+            }))
+        });
+        let message = match streamed {
             Ok(()) => {
                 send(&wire::encode_service_event(&ServiceEvent::Done {
                     rows: request.benchmarks.len(),
                 }));
+                self.cancel(req_id);
+                return;
             }
-            Err(message) => {
-                self.requests_failed.inc();
-                eprintln!("sweep serve: request {req_id} failed: {message}");
-                send(&wire::encode_service_event(&ServiceEvent::Failed {
-                    message,
-                }));
+            Err(Halt::Gone) => {
+                // Client hung up mid-stream: stop feeding it.
+                self.cancel_gone_client(req_id, "mid-stream");
+                return;
             }
-        }
+            Err(Halt::Exhausted(job, error)) => format!(
+                "shard of benchmark `{}` failed after {} attempts: {}",
+                job.shard.benchmark,
+                self.options.max_attempts,
+                error.message()
+            ),
+            Err(Halt::Failed(message)) => message,
+            Err(Halt::Merge(e)) => e.to_string(),
+        };
+        self.requests_failed.inc();
+        eprintln!("sweep serve: request {req_id} failed: {message}");
+        send(&wire::encode_service_event(&ServiceEvent::Failed {
+            message,
+        }));
         self.cancel(req_id);
     }
+}
+
+/// Receive one request's `jobs` outcomes, merging each benchmark as soon
+/// as its last chunk arrives (through the same [`merge_experiment`] a
+/// whole sweep would use) and handing the row, with its request-order
+/// index, to `on_row`; `on_row` returning `false` ends the stream.
+fn merge_rows(
+    request: &SweepRequest,
+    jobs: usize,
+    rx: &mpsc::Receiver<JobOutcome>,
+    mut on_row: impl FnMut(usize, SpecRow) -> bool,
+) -> Result<(), Halt> {
+    // `plan_shards` gives every benchmark the same number of chunks.
+    let chunks_per_bench = (jobs / request.benchmarks.len().max(1)).max(1);
+    let mut fragments: HashMap<String, Vec<(String, usize, SpecRow)>> = HashMap::new();
+    for _ in 0..jobs {
+        let (benchmark, chunk, row) = match rx.recv() {
+            Ok(JobOutcome::Fragment {
+                benchmark,
+                chunk,
+                row,
+            }) => (benchmark, chunk, row),
+            Ok(JobOutcome::End(halt)) => return Err(halt),
+            // Every sender is gone with fragments still owed.
+            Err(_) => return Err(Halt::Failed("sweep service shut down mid-request".into())),
+        };
+        let parts = fragments.entry(benchmark.clone()).or_default();
+        parts.push((benchmark.clone(), chunk, row));
+        if parts.len() < chunks_per_bench {
+            continue;
+        }
+        let parts = fragments.remove(&benchmark).expect("entry just filled");
+        let one = std::slice::from_ref(&benchmark);
+        let mut merged =
+            merge_experiment(request.scale, one, &request.backends, parts).map_err(Halt::Merge)?;
+        let row = merged
+            .rows
+            .pop()
+            .expect("one benchmark merges into one row");
+        let index = request.benchmarks.iter().position(|b| *b == benchmark);
+        if !on_row(index.expect("fragments belong to the request"), row) {
+            return Err(Halt::Gone);
+        }
+    }
+    Ok(())
 }
 
 /// Reject a request the scheduler could never complete, before accepting
@@ -1126,7 +1115,7 @@ fn register_worker(scheduler: &Scheduler, stream: TcpStream) {
                 &[("slot", slot.into()), ("peer", peer.as_str().into())],
             );
             scheduler.work_ready.notify_all();
-            scheduler.fleet_registered(slot, telemetry, conn);
+            scheduler.run_slot(slot, SlotSource::Registered, Some(conn));
         }
         Err(e) => {
             // `establish` already answered the worker with a structured
@@ -1203,7 +1192,7 @@ pub fn serve_forever(options: ServeOptions) -> Result<(), crate::SweepError> {
 fn serve_loop(scheduler: &Scheduler, listener: TcpListener, registrations: Option<TcpListener>) {
     std::thread::scope(|scope| {
         for (slot, addr) in scheduler.options.workers.iter().enumerate() {
-            scope.spawn(move || scheduler.fleet_dialout(slot, addr));
+            scope.spawn(move || scheduler.run_slot(slot, SlotSource::Dial(addr.clone()), None));
         }
         if let Some(reg) = registrations {
             scope.spawn(move || {
@@ -1284,6 +1273,131 @@ fn serve_loop(scheduler: &Scheduler, listener: TcpListener, registrations: Optio
     });
 }
 
+/// A one-shot sharded sweep, the body of
+/// [`crate::sharded_spec_experiment`]: a scheduler with one slot per
+/// spawned worker process (or per TCP address) that serves exactly one
+/// request, draining from the start.
+pub(crate) fn sweep_once(
+    config: &SweepConfig,
+    benchmarks: Vec<String>,
+    sanitizers: &[SanitizerKind],
+) -> Result<SpecExperiment, SweepError> {
+    let slots = match &config.worker {
+        WorkerLaunch::Tcp(addrs) => addrs.len(),
+        _ => config.workers,
+    };
+    let shards = plan_shards(&benchmarks, sanitizers, slots);
+    let workers = slots.clamp(1, shards.len().max(1));
+    let scheduler = Scheduler::new(ServeOptions {
+        token: config.token.clone(),
+        max_attempts: config.max_attempts,
+        shard_timeout: config.shard_timeout,
+        silence_timeout: config.silence_timeout,
+        ..ServeOptions::new(String::new(), Vec::new())
+    });
+    // Every slot joins the fleet before any starts, so an early retire
+    // never mistakes a fleet still being built for a dead one.
+    let sources: Vec<SlotSource> = (0..workers)
+        .map(|slot| {
+            let (source, addr) = match &config.worker {
+                WorkerLaunch::Tcp(addrs) => (SlotSource::Dial(addrs[slot].clone()), &*addrs[slot]),
+                launch => (
+                    SlotSource::Spawn(launch.clone(), config.worker_env.clone()),
+                    "pipe",
+                ),
+            };
+            scheduler.add_slot(addr, false);
+            source
+        })
+        .collect();
+    scheduler.shutting_down.store(true, Ordering::SeqCst);
+    let request = SweepRequest {
+        scale: config.scale,
+        parallelism: config.parallelism,
+        benchmarks,
+        backends: sanitizers.to_vec(),
+    };
+    let jobs = shards.len();
+    let pins = (config.strategy == ShardStrategy::Static).then_some(workers);
+    let (tx, rx) = mpsc::channel();
+    Scheduler::enqueue(&mut scheduler.lock_board(), 0, &request, shards, pins, tx);
+    let mut rows = vec![None; request.benchmarks.len()];
+    let streamed = std::thread::scope(|scope| {
+        for (slot, source) in sources.into_iter().enumerate() {
+            let scheduler = &scheduler;
+            scope.spawn(move || scheduler.run_slot(slot, source, None));
+        }
+        let streamed = merge_rows(&request, jobs, &rx, |index, row| {
+            rows[index] = Some(row);
+            true
+        });
+        // Drop whatever is still queued, so every slot drains and exits.
+        scheduler.cancel(0);
+        streamed
+    });
+
+    // Summarise each slot's heartbeat arrival gaps into the sweep tracer
+    // (`SWEEP_TRACE`); one event per slot even when no heartbeat arrived,
+    // so a traced run always documents its fleet.
+    let tracer = sweep_tracer();
+    if tracer.enabled() {
+        for (slot, telemetry) in scheduler.slots().iter().enumerate() {
+            let summary = telemetry.hb_gaps.snapshot().summary();
+            tracer.event(
+                "sweep_worker_hb",
+                &[
+                    ("slot", slot.into()),
+                    ("gap_count", summary.count.into()),
+                    ("gap_min_us", summary.min.into()),
+                    ("gap_p50_us", summary.p50.into()),
+                    ("gap_p99_us", summary.p99.into()),
+                    ("gap_max_us", summary.max.into()),
+                ],
+            );
+        }
+    }
+
+    streamed.map_err(sweep_error)?;
+    let rows = rows
+        .into_iter()
+        .zip(&request.benchmarks)
+        .map(|(row, name)| {
+            row.ok_or_else(|| MergeError::Incomplete {
+                benchmark: name.clone(),
+                detail: "no fragments".to_string(),
+            })
+        });
+    Ok(SpecExperiment {
+        scale: config.scale,
+        rows: rows.collect::<Result<_, _>>()?,
+        sanitizers: request.backends,
+    })
+}
+
+/// Map how a one-shot sweep's request ended onto [`SweepError`]: a last
+/// attempt that blew the shard budget is [`SweepError::ShardTimedOut`],
+/// any other exhaustion [`SweepError::ShardExhausted`], and a fleet with
+/// no live slot left [`SweepError::Spawn`].
+fn sweep_error(halt: Halt) -> SweepError {
+    match halt {
+        Halt::Exhausted(job, AttemptError::TimedOut(timeout)) => SweepError::ShardTimedOut {
+            shard_id: job.shard.id,
+            benchmark: job.shard.benchmark,
+            attempts: job.attempts,
+            timeout,
+        },
+        Halt::Exhausted(job, error) => SweepError::ShardExhausted {
+            shard_id: job.shard.id,
+            benchmark: job.shard.benchmark,
+            attempts: job.attempts,
+            last_error: error.message(),
+        },
+        Halt::Failed(message) => SweepError::Spawn { message },
+        Halt::Merge(e) => SweepError::Merge(e),
+        Halt::Gone => unreachable!("the one-shot row sink never hangs up"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1309,6 +1423,7 @@ mod tests {
                 backends: Vec::new(),
             },
             attempts: 0,
+            pinned: None,
         }
     }
 
@@ -1367,13 +1482,7 @@ mod tests {
         // Every scheduler entry point keeps working for other requests
         // instead of propagating the poison.
         s.cancel(7);
-        s.deliver(
-            7,
-            JobOutcome::Exhausted {
-                benchmark: "mcf".to_string(),
-                message: "gone".to_string(),
-            },
-        );
+        s.deliver(7, JobOutcome::End(Halt::Failed("gone".to_string())));
         let board = s.lock_board();
         assert!(board.cancelled.contains(&7));
         assert!(board.queue.is_empty());
@@ -1466,12 +1575,176 @@ mod tests {
         // after it the fleet gets the drain signal instead of blocking.
         s.deliver(
             1,
-            JobOutcome::Exhausted {
-                benchmark: "mcf".to_string(),
-                message: "done draining".to_string(),
-            },
+            JobOutcome::End(Halt::Failed("done draining".to_string())),
         );
         assert!(s.next_for(0).is_none(), "drained fleet threads exit");
         assert!(s.next_for(1).is_none(), "every slot sees the drain");
+    }
+
+    #[test]
+    fn pinned_jobs_are_never_picked_or_stolen_by_another_slot() {
+        let s = scheduler();
+        {
+            let mut board = s.lock_board();
+            board.queue.push_back(Job {
+                pinned: Some(1),
+                ..job(1, "mcf")
+            });
+            // Not even slot 0's own claim on the pair overrides the pin.
+            board.affinity.insert((1, "mcf".to_string()), 0);
+            assert_eq!(Scheduler::pick(&board, 0), None, "slot 0 takes nothing");
+            assert_eq!(Scheduler::pick(&board, 1), Some(0));
+        }
+        let taken = s.next_for(1).expect("the pinned slot takes its job");
+        assert_eq!(taken.pinned, Some(1));
+        assert_eq!(
+            s.telemetry(1).steals.get(),
+            0,
+            "running a pinned job is no steal"
+        );
+    }
+
+    #[test]
+    fn retiring_a_slot_unpins_its_jobs_and_the_survivors_take_them() {
+        let s = scheduler();
+        {
+            let mut board = s.lock_board();
+            for benchmark in ["mcf", "gcc"] {
+                board.queue.push_back(Job {
+                    pinned: Some(0),
+                    ..job(1, benchmark)
+                });
+            }
+            board.affinity.insert((1, "mcf".to_string()), 0);
+            assert_eq!(Scheduler::pick(&board, 1), None);
+        }
+        s.retire(0, &s.telemetry(0), "connection refused");
+        assert_eq!(s.live_workers(), 1);
+        {
+            let board = s.lock_board();
+            assert!(board.queue.iter().all(|j| j.pinned.is_none()), "unpinned");
+            assert!(
+                board.affinity.is_empty(),
+                "the retired slot's claims are gone"
+            );
+        }
+        let first = s.next_for(1).expect("the survivor takes the first job");
+        let second = s.next_for(1).expect("and the second");
+        assert_eq!(
+            (&*first.shard.benchmark, &*second.shard.benchmark),
+            ("mcf", "gcc")
+        );
+        assert_eq!(
+            s.telemetry(1).steals.get(),
+            0,
+            "an orphaned job is no steal"
+        );
+    }
+
+    #[test]
+    fn last_slot_to_retire_fails_pending_requests_with_the_last_error() {
+        let s = scheduler();
+        let (tx, rx) = mpsc::channel();
+        {
+            let mut board = s.lock_board();
+            board.requests.insert(1, tx);
+            board.queue.push_back(job(1, "mcf"));
+        }
+        s.retire(0, &s.telemetry(0), "first refusal");
+        assert!(rx.try_recv().is_err(), "a survivor can still run the job");
+        s.retire(1, &s.telemetry(1), "connection refused");
+        match rx.try_recv() {
+            Ok(JobOutcome::End(Halt::Failed(message))) => {
+                assert!(message.contains("became unreachable"), "{message}");
+                assert!(message.contains("connection refused"), "{message}");
+            }
+            _ => panic!("the pending request must fail once no slot is left"),
+        }
+        assert!(s.lock_board().queue.is_empty());
+    }
+
+    #[test]
+    fn spawn_failures_burn_attempts() {
+        let mut options = ServeOptions::new("127.0.0.1:0".to_string(), Vec::new());
+        options.token = None;
+        options.max_attempts = 2;
+        let s = Scheduler::new(options);
+        let (slot, _) = s.add_slot("pipe", false);
+        s.shutting_down.store(true, Ordering::SeqCst);
+        let (tx, rx) = mpsc::channel();
+        s.lock_board().requests.insert(1, tx);
+        s.lock_board().queue.push_back(job(1, "mcf"));
+        // A path that exists but is not executable fails at spawn.
+        let launch =
+            WorkerLaunch::Bin(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml"));
+        s.run_slot(slot, SlotSource::Spawn(launch, Vec::new()), None);
+        match rx.try_recv() {
+            Ok(JobOutcome::End(Halt::Exhausted(job, AttemptError::Spawn(_)))) => {
+                assert_eq!(job.attempts, 2, "each failed spawn burns an attempt");
+            }
+            _ => panic!("repeated spawn failures must exhaust the job"),
+        }
+        assert_eq!(s.telemetry(slot).live.get(), 0, "the drained slot exits");
+    }
+
+    #[test]
+    fn refused_dials_burn_nothing_redial_while_serving_and_retire_while_draining() {
+        let s = scheduler();
+        s.lock_board().queue.push_back(Job {
+            pinned: Some(0),
+            ..job(1, "mcf")
+        });
+        std::thread::scope(|scope| {
+            // Port 1 on localhost refuses connections.
+            let dead = SlotSource::Dial("127.0.0.1:1".to_string());
+            let running = scope.spawn(|| s.run_slot(0, dead, None));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while s.telemetry(0).failed.get() < 2 {
+                assert!(Instant::now() < deadline, "the serving slot never redialed");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            assert_ne!(s.telemetry(0).live.get(), 0, "serving slots keep redialing");
+            s.shutting_down.store(true, Ordering::SeqCst);
+            running.join().expect("the draining slot retires");
+        });
+        assert_eq!(s.telemetry(0).live.get(), 0);
+        let board = s.lock_board();
+        assert_eq!(board.queue.len(), 1, "the job went back on the queue");
+        assert_eq!(board.queue[0].attempts, 0, "refused dials burn nothing");
+        assert_eq!(
+            board.queue[0].pinned, None,
+            "and the retired slot unpinned it"
+        );
+    }
+
+    #[test]
+    fn a_final_timeout_maps_to_shard_timed_out() {
+        let exhausted = |error| {
+            Halt::Exhausted(
+                Box::new(Job {
+                    attempts: 2,
+                    ..job(1, "mcf")
+                }),
+                error,
+            )
+        };
+        let budget = Duration::from_millis(500);
+        match sweep_error(exhausted(AttemptError::TimedOut(budget))) {
+            SweepError::ShardTimedOut {
+                benchmark,
+                attempts,
+                timeout,
+                ..
+            } => assert_eq!((&*benchmark, attempts, timeout), ("mcf", 2, budget)),
+            other => panic!("expected ShardTimedOut, got {other}"),
+        }
+        match sweep_error(exhausted(AttemptError::Failed("worker exited".to_string()))) {
+            SweepError::ShardExhausted { last_error, .. } => {
+                assert_eq!(last_error, "worker exited")
+            }
+            other => panic!("expected ShardExhausted, got {other}"),
+        }
+        let gone = Halt::Failed("every TCP worker became unreachable".to_string());
+        assert!(matches!(sweep_error(gone), SweepError::Spawn { .. }));
     }
 }

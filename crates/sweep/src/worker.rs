@@ -112,7 +112,7 @@ fn hello() -> Hello {
     }
 }
 
-fn run_shard(spec: &ShardSpec) -> Reply {
+fn compute_shard(spec: &ShardSpec) -> Reply {
     maybe_crash(spec);
     maybe_hang(spec);
     // `spec_experiment` panics on unknown benchmarks / compile failures;
@@ -194,35 +194,24 @@ fn first_command_line<S: LineSource>(lines: &mut S) -> Result<Option<String>, i3
     }
 }
 
-/// Serve the worker protocol over the given streams until `done` or
-/// end-of-input, with the shared token from [`crate::net::TOKEN_ENV`].
-/// Returns the process exit code (0 on a clean run, 2 on a protocol or
-/// auth error — which is also printed to stderr).
-pub fn serve<R: BufRead, W: Write>(input: R, output: W) -> i32 {
-    serve_with_token(input, output, token_from_env())
-}
-
-/// [`serve`] with an explicit token.  The worker sends its handshake
-/// (plus its own `auth` frame when it carries a token) eagerly, but
-/// withholds its `hello` until the peer has passed the token gate — so
-/// an unauthorized peer receives a structured `authfail` *before* any
-/// capability exchange.
-pub fn serve_with_token<R: BufRead, W: Write>(
-    input: R,
-    mut output: W,
-    token: Option<String>,
+/// One worker session over any line transport: everything the stdio
+/// and TCP workers share.  The opening sends the handshake (plus this
+/// worker's `auth` frame), checks the peer's version, gates its token
+/// (`gate_timeout` arms a read deadline around the gate where the
+/// transport has one), sends `hello`, and disposes of a stray first
+/// line.  Then `shard` commands are answered until `done` or end of
+/// input, with `computing` raised around each shard.  `send` writes one
+/// block of lines.  Returns the process exit code.
+fn serve_session<S: LineSource>(
+    mut lines: S,
+    token: Option<&str>,
+    mut send: impl FnMut(&[String]) -> bool,
+    mut gate_timeout: impl FnMut(Option<Duration>),
+    computing: impl Fn(bool),
 ) -> i32 {
-    let mut lines = IoLines::new(input);
     let mut opening = vec![wire::HANDSHAKE.to_string()];
-    if let Some(token) = &token {
-        opening.push(wire::encode_auth(token));
-    }
-    for line in &opening {
-        if writeln!(output, "{line}").is_err() {
-            return 2;
-        }
-    }
-    if output.flush().is_err() {
+    opening.extend(token.map(wire::encode_auth));
+    if !send(&opening) {
         return 2;
     }
     match lines.next_line() {
@@ -241,16 +230,17 @@ pub fn serve_with_token<R: BufRead, W: Write>(
             return 2;
         }
     }
-    if let Err(reason) = gate_peer(&mut lines, token.as_deref()) {
-        let _ =
-            writeln!(output, "{}", wire::encode_auth_reject(reason)).and_then(|()| output.flush());
-        eprintln!("sweep_worker: rejected peer: {reason}");
-        return 2;
+    if token.is_some() {
+        gate_timeout(Some(AUTH_GATE_TIMEOUT));
+        let gated = gate_peer(&mut lines, token);
+        gate_timeout(None);
+        if let Err(reason) = gated {
+            let _ = send(&[wire::encode_auth_reject(reason)]);
+            eprintln!("sweep_worker: rejected peer: {reason}");
+            return 2;
+        }
     }
-    if writeln!(output, "{}", wire::encode_hello(&hello()))
-        .and_then(|()| output.flush())
-        .is_err()
-    {
+    if !send(&[wire::encode_hello(&hello())]) {
         return 2;
     }
     let first = match first_command_line(&mut lines) {
@@ -261,7 +251,8 @@ pub fn serve_with_token<R: BufRead, W: Write>(
     loop {
         let command = match wire::decode_command(&mut lines) {
             Ok(Some(command)) => command,
-            // A vanished coordinator reads as end-of-input: exit cleanly.
+            // A vanished peer reads as end-of-input: exit cleanly (a
+            // listener will accept its replacement).
             Ok(None) => return 0,
             Err(e) => {
                 eprintln!("sweep_worker: {e}");
@@ -271,18 +262,39 @@ pub fn serve_with_token<R: BufRead, W: Write>(
         match command {
             Command::Done => return 0,
             Command::Shard(spec) => {
-                let reply = run_shard(&spec);
-                for line in wire::encode_reply(&reply) {
-                    if writeln!(output, "{line}").is_err() {
-                        return 2;
-                    }
-                }
-                if output.flush().is_err() {
+                computing(true);
+                let reply = compute_shard(&spec);
+                computing(false);
+                if !send(&wire::encode_reply(&reply)) {
                     return 2;
                 }
             }
         }
     }
+}
+
+/// Serve the worker protocol over the given streams until `done` or
+/// end-of-input, with the shared token from [`crate::net::TOKEN_ENV`].
+/// Returns the process exit code (0 on a clean run, 2 on a protocol or
+/// auth error — which is also printed to stderr).
+pub fn serve<R: BufRead, W: Write>(input: R, output: W) -> i32 {
+    serve_with_token(input, output, token_from_env())
+}
+
+/// [`serve`] with an explicit token.  The worker sends its handshake
+/// (plus its own `auth` frame when it carries a token) eagerly, but
+/// withholds its `hello` until the peer has passed the token gate — so
+/// an unauthorized peer receives a structured `authfail` *before* any
+/// capability exchange.
+pub fn serve_with_token<R: BufRead, W: Write>(
+    input: R,
+    mut output: W,
+    token: Option<String>,
+) -> i32 {
+    let send = |block: &[String]| {
+        block.iter().all(|line| writeln!(output, "{line}").is_ok()) && output.flush().is_ok()
+    };
+    serve_session(IoLines::new(input), token.as_deref(), send, |_| {}, |_| {})
 }
 
 /// Serve the worker protocol on this process's stdin/stdout — the entire
@@ -341,57 +353,6 @@ pub fn serve_tcp_with(stream: TcpStream, token: Option<String>) -> i32 {
         return 2;
     };
     let writer = Arc::new(Mutex::new(write_half));
-    let mut lines = IoLines::new(BufReader::new(stream));
-    let mut opening = vec![wire::HANDSHAKE.to_string()];
-    if let Some(token) = &token {
-        opening.push(wire::encode_auth(token));
-    }
-    if !send_block(&writer, &opening) {
-        return 2;
-    }
-    match lines.next_line() {
-        Ok(Some(line)) if line == wire::HANDSHAKE => {}
-        Ok(other) => {
-            eprintln!(
-                "sweep_worker: {}",
-                wire::WireError::Version {
-                    got: other.unwrap_or_else(|| "<eof>".to_string()),
-                }
-            );
-            return 2;
-        }
-        Err(e) => {
-            eprintln!("sweep_worker: {e}");
-            return 2;
-        }
-    }
-    if token.is_some() {
-        let gated = {
-            // The timeout is set through the write half, but applies to
-            // the shared underlying socket.
-            let timeout_handle = writer.lock().expect("worker writer lock");
-            let _ = timeout_handle.set_read_timeout(Some(AUTH_GATE_TIMEOUT));
-            drop(timeout_handle);
-            let gated = gate_peer(&mut lines, token.as_deref());
-            let timeout_handle = writer.lock().expect("worker writer lock");
-            let _ = timeout_handle.set_read_timeout(None);
-            gated
-        };
-        if let Err(reason) = gated {
-            let _ = send_block(&writer, &[wire::encode_auth_reject(reason)]);
-            eprintln!("sweep_worker: rejected peer: {reason}");
-            return 2;
-        }
-    }
-    if !send_block(&writer, &[wire::encode_hello(&hello())]) {
-        return 2;
-    }
-    let first = match first_command_line(&mut lines) {
-        Ok(first) => first,
-        Err(code) => return code,
-    };
-    let mut lines = wire::PrependedLine::new(first, lines);
-
     // Heartbeat thread: ticks fast, beats at the configured cadence, and
     // only while a shard is actually in flight (`active`).
     let running = Arc::new(AtomicBool::new(true));
@@ -416,34 +377,22 @@ pub fn serve_tcp_with(stream: TcpStream, token: Option<String>) -> i32 {
             }
         })
     };
-    let finish = |code: i32| {
-        running.store(false, Ordering::SeqCst);
-        code
+    // The gate deadline is set through the write half, but applies to
+    // the shared underlying socket.
+    let gate_timeout = |timeout| {
+        let _ = writer
+            .lock()
+            .expect("worker writer lock")
+            .set_read_timeout(timeout);
     };
-
-    let code = loop {
-        let command = match wire::decode_command(&mut lines) {
-            Ok(Some(command)) => command,
-            // A vanished coordinator reads as end-of-stream: exit cleanly
-            // (the listener will accept its replacement).
-            Ok(None) => break finish(0),
-            Err(e) => {
-                eprintln!("sweep_worker: {e}");
-                break finish(2);
-            }
-        };
-        match command {
-            Command::Done => break finish(0),
-            Command::Shard(spec) => {
-                active.store(true, Ordering::SeqCst);
-                let reply = run_shard(&spec);
-                active.store(false, Ordering::SeqCst);
-                if !send_block(&writer, &wire::encode_reply(&reply)) {
-                    break finish(2);
-                }
-            }
-        }
-    };
+    let code = serve_session(
+        IoLines::new(BufReader::new(stream)),
+        token.as_deref(),
+        |block: &[String]| send_block(&writer, block),
+        gate_timeout,
+        |on| active.store(on, Ordering::SeqCst),
+    );
+    running.store(false, Ordering::SeqCst);
     let _ = beat.join();
     code
 }

@@ -4,8 +4,8 @@
 //! low-fat address space.
 //!
 //! The VM stands in for native execution of EffectiveSan-instrumented
-//! binaries (see `DESIGN.md`): it executes the typed IR, dispatches the
-//! check instructions inserted by the `instrument` crate through a single
+//! binaries: it executes the typed IR, dispatches the check instructions
+//! inserted by the `instrument` crate through a single
 //! [`san_api::Sanitizer`] backend (an EffectiveSan variant or a baseline
 //! comparison tool from the `san-api` registry), and records the event
 //! counts (instructions, loads/stores, checks, allocations, peak memory)

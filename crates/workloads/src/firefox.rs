@@ -15,7 +15,7 @@
 //!   DOM Core, JS Lib, CSS Selector), each with a different mix of the
 //!   above so the per-benchmark overhead bars differ;
 //! * enough thread-safety that the drivers can run concurrently (the VM
-//!   gives each thread its own address space; see DESIGN.md).
+//!   gives each thread its own address space).
 
 use serde::Serialize;
 

@@ -12,9 +12,8 @@
 //! * [`bugs`] — the seeded-bug catalogue mapping every §6.1/§6.3 finding to
 //!   a runnable snippet and its expected error class.
 //!
-//! SPEC2006 and Firefox sources are proprietary/enormous; `DESIGN.md`
-//! documents why these synthetic stand-ins preserve the behaviour the
-//! evaluation measures.
+//! SPEC2006 and Firefox sources are proprietary and enormous, so these
+//! synthetic stand-ins take their place.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
