@@ -2,12 +2,18 @@
 //!
 //! Runs the selected benchmarks under the selected backends with
 //! [`RunConfig::profile`] enabled and renders the merged profile: the
-//! top-N check sites with per-site hit/miss/elide/guard-fallback counts,
-//! the top-N functions with slow/fast tier residency, and the tier
-//! promotion/OSR event count — the evidence base for deepening the check
-//! hoisting pass (ROADMAP "Deeper hoisting").
+//! top-N check sites with per-site hit/miss counts, the top-N functions
+//! with slow/fast tier residency, and the tier promotion/OSR event count
+//! — which check sites and functions a run spends its time in.  Profiling
+//! is observational, but its sampling costs a few percent, so wall-clock
+//! timing is left to `perfbench/`.
 //!
 //! Usage: `table_profile [--json] [--top N] [--benchmarks a,b,c] [backend...]`
+//!
+//! For example, `table_profile --benchmarks mcf,gobmk,astar,xalancbmk none
+//! EffectiveSan bounds asan` profiles the check-heavy benchmark subset
+//! under the uninstrumented reference, EffectiveSan-full, its
+//! bounds-only variant and AddressSanitizer.
 //!
 //! Backend-name arguments select which backends run (default:
 //! EffectiveSan-full); `SCALE` selects the workload scale as in the other
@@ -79,7 +85,7 @@ fn main() {
 
     if json {
         println!(
-            "{{\"schema\":\"effective-san-profile/1\",\"scale\":\"{scale:?}\",\"profile\":{}}}",
+            "{{\"schema\":\"effective-san-profile/2\",\"scale\":\"{scale:?}\",\"profile\":{}}}",
             merged.to_json()
         );
         return;

@@ -12,8 +12,8 @@
 //!   for the sweep/daemon layer).  When the variable is unset the
 //!   tracer costs one relaxed load per *would-be* event.
 //! * [`profile`] — plain-data site/function profile reports produced by
-//!   the VM's opt-in tier profiler and rendered by the bench binaries
-//!   (`perf_smoke --profile`, `table_profile`).
+//!   the VM's opt-in tier profiler and rendered by the `table_profile`
+//!   bench binary.
 
 pub mod metrics;
 pub mod profile;

@@ -2,10 +2,9 @@
 //! per-function tier residency, and tier-transition events.
 //!
 //! The VM's opt-in profiler (see `vm::VmConfig::profile`) fills these
-//! in; the bench binaries (`perf_smoke --profile`, `table_profile`)
-//! merge and render them.  Everything here is ordinary data — no
-//! atomics — because the VM is single-threaded per instance and merging
-//! happens after runs complete.
+//! in; the `table_profile` bench binary merges and renders them.
+//! Everything here is ordinary data — no atomics — because the VM is
+//! single-threaded per instance and merging happens after runs complete.
 
 use std::collections::BTreeMap;
 
@@ -21,31 +20,19 @@ pub struct SiteCounts {
     /// pass/fail to the VM; type/cast checks count as hits when they
     /// execute.
     pub misses: u64,
-    /// Checks skipped entirely because their dominator's guard was
-    /// still "passed" (fast-tier elision).
-    pub elided: u64,
-    /// Dominated checks that ran in full because their dominator's
-    /// guard had recorded a failure.
-    pub guard_fallbacks: u64,
 }
 
 impl SiteCounts {
-    /// Checks that reached the backend (everything but elisions).
-    pub fn executed(&self) -> u64 {
-        self.hits + self.misses + self.guard_fallbacks
-    }
-
-    /// Total dynamic occurrences of the site.
+    /// Total dynamic occurrences of the site (every one reaches the
+    /// backend).
     pub fn total(&self) -> u64 {
-        self.executed() + self.elided
+        self.hits + self.misses
     }
 
     /// Fold `other` into `self`.
     pub fn merge(&mut self, other: &SiteCounts) {
         self.hits += other.hits;
         self.misses += other.misses;
-        self.elided += other.elided;
-        self.guard_fallbacks += other.guard_fallbacks;
     }
 }
 
@@ -151,14 +138,11 @@ impl ProfileReport {
         let mut out = String::new();
         let rule = "-".repeat(86);
         out.push_str(&format!(
-            "{:<38} {:>10} {:>10} {:>10} {:>10}\n{rule}\n",
-            "check site", "hits", "misses", "elided", "fallbacks"
+            "{:<38} {:>10} {:>10}\n{rule}\n",
+            "check site", "hits", "misses"
         ));
         for (label, c) in self.hot_sites(n) {
-            out.push_str(&format!(
-                "{:<38} {:>10} {:>10} {:>10} {:>10}\n",
-                label, c.hits, c.misses, c.elided, c.guard_fallbacks
-            ));
+            out.push_str(&format!("{:<38} {:>10} {:>10}\n", label, c.hits, c.misses));
         }
         out.push_str(&format!(
             "\n{:<24} {:>12} {:>12} {:>8} {:>8} {:>6} {:>6}\n{rule}\n",
@@ -187,12 +171,10 @@ impl ProfileReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"site\":\"{}\",\"hits\":{},\"misses\":{},\"elided\":{},\"guard_fallbacks\":{}}}",
+                "{{\"site\":\"{}\",\"hits\":{},\"misses\":{}}}",
                 json_escape(label),
                 c.hits,
-                c.misses,
-                c.elided,
-                c.guard_fallbacks
+                c.misses
             ));
         }
         out.push_str("],\"funcs\":[");
@@ -233,19 +215,14 @@ impl ProfileReport {
 mod tests {
     use super::*;
 
-    fn site(hits: u64, misses: u64, elided: u64, fallbacks: u64) -> SiteCounts {
-        SiteCounts {
-            hits,
-            misses,
-            elided,
-            guard_fallbacks: fallbacks,
-        }
+    fn site(hits: u64, misses: u64) -> SiteCounts {
+        SiteCounts { hits, misses }
     }
 
     #[test]
     fn merge_sums_by_name_and_sorts() {
         let mut a = ProfileReport {
-            sites: vec![("x.c:2".into(), site(5, 0, 3, 0))],
+            sites: vec![("x.c:2".into(), site(5, 0))],
             funcs: vec![(
                 "main".into(),
                 FuncCounts {
@@ -256,10 +233,7 @@ mod tests {
             events: vec![],
         };
         let b = ProfileReport {
-            sites: vec![
-                ("a.c:1".into(), site(1, 1, 0, 0)),
-                ("x.c:2".into(), site(2, 0, 0, 1)),
-            ],
+            sites: vec![("a.c:1".into(), site(1, 1)), ("x.c:2".into(), site(2, 0))],
             funcs: vec![(
                 "main".into(),
                 FuncCounts {
@@ -276,7 +250,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.sites.len(), 2);
         assert_eq!(a.sites[0].0, "a.c:1");
-        assert_eq!(a.sites[1].1, site(7, 0, 3, 1));
+        assert_eq!(a.sites[1].1, site(7, 0));
         assert_eq!(a.funcs[0].1.total_instructions(), 17);
         assert_eq!(a.events.len(), 1);
     }
@@ -285,9 +259,9 @@ mod tests {
     fn hot_sites_order_by_total_then_label() {
         let report = ProfileReport {
             sites: vec![
-                ("b".into(), site(4, 0, 0, 0)),
-                ("a".into(), site(2, 0, 2, 0)),
-                ("c".into(), site(1, 0, 0, 0)),
+                ("b".into(), site(4, 0)),
+                ("a".into(), site(2, 2)),
+                ("c".into(), site(1, 0)),
             ],
             funcs: vec![],
             events: vec![],
@@ -301,7 +275,7 @@ mod tests {
     #[test]
     fn json_names_every_site() {
         let report = ProfileReport {
-            sites: vec![("w.c:9".into(), site(3, 1, 0, 0))],
+            sites: vec![("w.c:9".into(), site(3, 1))],
             funcs: vec![],
             events: vec![],
         };

@@ -6,14 +6,14 @@
 //! fields the wire format carries (kind, expected/observed types, offset,
 //! bounds, location, detail), rendered as JSON for downstream tooling
 //! (`table_issues --json`).  Strings are escaped by the workspace's one
-//! escaper, [`obs::json_escape`], re-exported here.
+//! escaper, [`obs::json_escape`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use effective_san::{SpecExperiment, SpecRow};
 use san_api::{Diagnostic, SanitizerKind};
 
-pub use obs::json_escape;
+use obs::json_escape;
 
 /// Render one diagnostic as a JSON object (the wire format's `diag`
 /// fields, JSON-spelled).

@@ -40,8 +40,8 @@ use workloads::Scale;
 /// sweep-service frames: the `hello` capability line workers send after
 /// the handshake, `hb` heartbeats, client `request` blocks, and the
 /// streamed `accepted`/`srow`/`sdone`/`sfail` service replies.  Version 5
-/// widened the `exec` line again with the fast tier's `checks_elided`
-/// counter, so sweep rows carry the check-hoisting effect end to end.
+/// widened the `exec` line again with `ExecStats::checks_elided`, which
+/// the wire still carries although the counter now always reads 0.
 /// Version 6 added the daemon-introspection frames: a client may send a
 /// bare [`STATS_REQUEST`] line instead of a request block, answered with
 /// a `stats` header, per-worker `wstat` lines (queue depth, completed /

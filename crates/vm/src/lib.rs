@@ -45,5 +45,5 @@ pub mod tier;
 pub mod value;
 
 pub use interp::{CostModel, ExecStats, Vm, VmConfig, VmError};
-pub use tier::{FastConst, FastFunction, FastInstr, LoadKind};
+pub use tier::{FastFunction, FastInstr, LoadKind};
 pub use value::Value;

@@ -55,15 +55,6 @@ impl Value {
         }
     }
 
-    /// Materialize a fast-tier constant operand.
-    pub fn from_const(c: crate::tier::FastConst) -> Value {
-        match c {
-            crate::tier::FastConst::Int(v) => Value::Int(v),
-            crate::tier::FastConst::Float(v) => Value::Float(v),
-            crate::tier::FastConst::Null => Value::Ptr(Ptr::NULL),
-        }
-    }
-
     /// Truthiness for branches.
     pub fn is_truthy(&self) -> bool {
         match self {

@@ -3,8 +3,8 @@
 //! skips AddressSanitizer's red-zone, a far-OOB `memcpy` caught only by
 //! whole-range guards on the builtin's pointer arguments, use-after-free
 //! surviving quarantine exhaustion, a use-after-free between two
-//! would-be-dominated checks (pinning the fast tier's hoisting rule),
-//! and a same-type reuse-after-free — executed across
+//! would-be-dominated checks (pinning that no check is skipped across a
+//! `free`), and a same-type reuse-after-free — executed across
 //! **every** backend in the `san-api` registry, asserting each tool's
 //! expected detect/miss matrix from the paper's tool comparison
 //! (Figure 1, §2.1, §6.2).
@@ -175,19 +175,20 @@ const SCENARIOS: [Scenario; 10] = [
                 return qread(first);
             }",
     },
-    // A use-after-free sandwiched between two accesses that the fast
-    // tier's check-hoisting pass would otherwise consider dominated: the
+    // A use-after-free sandwiched between two accesses to the same field
+    // that a dominance-based eliminator would consider redundant: the
     // first `d->a` access checks the pointer, `free(dead)` (with dead ==
     // d on the final call) rebinds the allocation's META to FREE, and the
-    // second `d->a` access must re-consult the allocator — eliding it as
-    // "covered by the first check" hides the UAF.  The hoisting pass
-    // therefore never elides across a call or free-reaching builtin; this
-    // scenario pins that rule.  The detect column is temporal-tool
-    // territory: ASan/Memcheck see the freed block, CETS invalidates the
-    // identifier.  EffectiveSan's bounds for `d` were (legitimately)
-    // computed at function entry, before the free — the in-function
-    // temporal gap is its documented §2.4-style blind spot, independent
-    // of hoisting.
+    // second `d->a` access must re-consult the allocator — skipping it as
+    // "covered by the first check" hides the UAF.  Redundant checks are
+    // removed only at instrumentation time and both VM tiers run every
+    // check that remains; this scenario pins that the second check
+    // survives.  The detect column is temporal-tool territory:
+    // ASan/Memcheck see the freed block, CETS invalidates the identifier.
+    // EffectiveSan's bounds for `d` were (legitimately) computed at
+    // function entry, before the free — the in-function temporal gap is
+    // its documented §2.4-style blind spot, independent of check
+    // removal.
     Scenario {
         name: "uaf-between-dominated-checks",
         column: Column::Temporal,
