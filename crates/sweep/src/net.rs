@@ -37,6 +37,16 @@ pub fn token_from_env() -> Option<String> {
     std::env::var(TOKEN_ENV).ok().filter(|t| !t.is_empty())
 }
 
+/// Read deadline on the opening of an accepted connection.  A worker
+/// arms it around its token gate, so a tokenless peer (which correctly
+/// sends nothing after its handshake) is rejected promptly instead of
+/// both sides sitting out their silence budgets.  The daemon arms it on
+/// each client's handshake, `auth`, first line and request block, so a
+/// socket that connects and never writes cannot hold a thread, or
+/// `--shutdown`, hostage.  A compliant peer sends its opening in one
+/// burst, so the happy path never comes near it.
+pub(crate) const OPENING_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Default cadence of worker heartbeats, overridable with the
 /// `SWEEP_HEARTBEAT_MS` environment variable (workers read it at serve
 /// time, so the coordinator and the fleet can be tuned independently).
@@ -236,6 +246,14 @@ impl Transport for PipeTransport {
 
 /// [`Transport`] over a TCP connection to a `sweep_worker --listen`
 /// process (or any peer speaking the protocol).
+///
+/// Every sweep socket sets `TCP_NODELAY` where it enters the protocol:
+/// here for each dialled or accepted stream, in
+/// [`crate::worker::serve_tcp_with`], and on the daemon's client port.
+/// Protocol lines are small writes that each wait on the peer's answer.
+/// Under Nagle's algorithm a small write behind unacknowledged data waits
+/// for the peer's delayed ACK (about 40 ms), which used to make the wire,
+/// not the shards, the cost of a request.
 pub struct TcpTransport {
     stream: TcpStream,
     pump: LinePump,
@@ -267,6 +285,9 @@ impl TcpTransport {
     /// Wrap an already established stream (the daemon's accepted worker
     /// and client connections go through here).
     pub fn from_stream(stream: TcpStream, peer: String) -> Result<TcpTransport, WireError> {
+        stream.set_nodelay(true).map_err(|e| WireError::Io {
+            message: format!("setting TCP_NODELAY on the stream to {peer}: {e}"),
+        })?;
         let reader = stream.try_clone().map_err(|e| WireError::Io {
             message: format!("cloning stream to {peer}: {e}"),
         })?;
@@ -934,6 +955,22 @@ mod tests {
             .expect("second read");
         assert_eq!(line.as_deref(), Some("late-line"));
         writer.join().expect("writer thread");
+    }
+
+    #[test]
+    fn dialled_and_accepted_transports_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let dialled = TcpTransport::connect(&addr.to_string(), Some(Duration::from_secs(5)))
+            .expect("connect");
+        let (stream, peer) = listener.accept().expect("accept");
+        let accepted = TcpTransport::from_stream(stream, peer.to_string()).expect("wrap");
+        for (how, transport) in [("connect", &dialled), ("from_stream", &accepted)] {
+            assert!(
+                transport.stream.nodelay().expect("read TCP_NODELAY"),
+                "a transport built through {how} must set TCP_NODELAY"
+            );
+        }
     }
 
     #[test]

@@ -44,6 +44,9 @@
 //! being queued without bound.  A `shutdown` control frame (token-gated
 //! like everything else) stops intake, drains in-flight requests to
 //! their structured end, releases the fleet, and lets the process exit 0.
+//! Each read of a client's opening (handshake, `auth`, first line,
+//! request block) has a 5 s deadline, so a socket that connects and
+//! never writes cannot hold that drain open.
 //!
 //! Rows stream back incrementally: as soon as every chunk of one
 //! benchmark has arrived, the fragments are merged (the same
@@ -77,6 +80,7 @@ use crate::backoff::Backoff;
 use crate::coordinator::{ShardStrategy, SweepConfig, SweepError, WorkerLaunch};
 use crate::net::{
     token_from_env, AttemptError, PipeTransport, TcpTransport, Transport, WorkerConn,
+    OPENING_TIMEOUT,
 };
 use crate::shard::{merge_experiment, plan_shards, MergeError, Shard};
 use crate::wire::{self, IoLines, LineSource, ServiceEvent, ShardSpec, SweepRequest};
@@ -627,18 +631,28 @@ impl Scheduler {
         Admission::Proceed
     }
 
-    fn cancel(&self, req_id: u64) {
-        let mut board = self.lock_board();
-        board.cancelled.insert(req_id);
+    /// Drop a request's channel, progress and claims.  This alone ends a
+    /// request that completed: every one of its jobs was delivered, so
+    /// none can still be queued or come back through
+    /// [`Scheduler::finish_failure`].
+    fn forget(board: &mut Board, req_id: u64) {
         board.requests.remove(&req_id);
         board.progress.remove(&req_id);
-        board.queue.retain(|job| job.req_id != req_id);
         board.affinity.retain(|(id, _), _| *id != req_id);
     }
 
+    /// End a request early: forget it, drop its queued jobs, and mark it
+    /// cancelled, so a job of it still in flight that is re-queued gets
+    /// dropped by [`Scheduler::next_for`] instead of run.
+    fn cancel(&self, req_id: u64) {
+        let mut board = self.lock_board();
+        Self::forget(&mut board, req_id);
+        board.cancelled.insert(req_id);
+        board.queue.retain(|job| job.req_id != req_id);
+    }
+
     /// Cancel a request whose client hung up, counting and logging the
-    /// cancellation (the plain [`Scheduler::cancel`] also runs on normal
-    /// completion, where no cancellation happened).
+    /// cancellation.
     fn cancel_gone_client(&self, req_id: u64, when: &str) {
         self.requests_cancelled.inc();
         eprintln!("sweep serve: request {req_id} cancelled: client hung up {when}");
@@ -826,19 +840,20 @@ impl Scheduler {
 
     /// One client connection: handshake, authenticate, decode the
     /// request (or answer a `stats` / `shutdown` control frame), enqueue
-    /// its shards, merge and stream rows as benchmarks complete.
+    /// its shards, merge and stream rows as benchmarks complete.  Each
+    /// read of the opening is bounded by [`OPENING_TIMEOUT`].
     fn client_loop(&self, stream: TcpStream, req_id: u64) {
-        let mut write_half = match stream.try_clone() {
+        let opened = stream
+            .set_nodelay(true)
+            .and_then(|()| stream.set_read_timeout(Some(OPENING_TIMEOUT)))
+            .and_then(|()| stream.try_clone());
+        let write_half = match opened {
             Ok(w) => w,
             Err(_) => return,
         };
-        let mut send = |lines: &[String]| -> bool {
-            for line in lines {
-                if writeln!(write_half, "{line}").is_err() {
-                    return false;
-                }
-            }
-            write_half.flush().is_ok()
+        let send = |lines: &[String]| -> bool {
+            let mut out = &write_half;
+            lines.iter().all(|line| writeln!(out, "{line}").is_ok()) && out.flush().is_ok()
         };
         let mut lines = IoLines::new(BufReader::new(stream));
         if !send(&[wire::HANDSHAKE.to_string()]) {
@@ -907,6 +922,8 @@ impl Scheduler {
                 return;
             }
         };
+        // The opening is complete: lift its deadline.
+        let _ = write_half.set_read_timeout(None);
         if let Err(message) = validate(&request) {
             self.requests_failed.inc();
             send(&wire::encode_service_event(&ServiceEvent::Failed {
@@ -989,7 +1006,7 @@ impl Scheduler {
                 send(&wire::encode_service_event(&ServiceEvent::Done {
                     rows: request.benchmarks.len(),
                 }));
-                self.cancel(req_id);
+                Self::forget(&mut self.lock_board(), req_id);
                 return;
             }
             Err(Halt::Gone) => {
@@ -1486,6 +1503,56 @@ mod tests {
         let board = s.lock_board();
         assert!(board.cancelled.contains(&7));
         assert!(board.queue.is_empty());
+    }
+
+    #[test]
+    fn a_completed_request_leaves_nothing_on_the_board() {
+        let worker_port = TcpListener::bind("127.0.0.1:0").expect("bind the worker");
+        let worker_addr = worker_port.local_addr().expect("worker addr").to_string();
+        let clients = TcpListener::bind("127.0.0.1:0").expect("bind the client port");
+        let client_addr = clients.local_addr().expect("client addr").to_string();
+        let mut options = ServeOptions::new(client_addr.clone(), vec![worker_addr.clone()]);
+        options.token = None;
+        let s = Scheduler::new(options);
+        let request = SweepRequest {
+            scale: Scale::Test,
+            parallelism: Parallelism::Sequential,
+            benchmarks: vec!["mcf".to_string(), "gcc".to_string()],
+            backends: vec![SanitizerKind::None],
+        };
+        let (swept, worker) = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let (stream, _) = worker_port.accept().expect("accept the slot's dial");
+                crate::worker::serve_tcp_with(stream, None)
+            });
+            scope.spawn(|| s.run_slot(0, SlotSource::Dial(worker_addr.clone()), None));
+            scope.spawn(|| {
+                let (stream, _) = clients.accept().expect("the client connects");
+                s.client_loop(stream, 7);
+            });
+            let options = crate::net::ClientOptions {
+                token: None,
+                ..Default::default()
+            };
+            let swept = crate::net::client_sweep_with(&client_addr, &options, &request, |_, _| {});
+            // Drain the slot, which sends the worker `done`; the scope
+            // then joins it and the client loop.  A slot that never
+            // dialled would leave the worker in `accept`: one throwaway
+            // connection ends it either way.
+            s.initiate_shutdown();
+            let _ = TcpStream::connect(&worker_addr);
+            (swept, worker.join())
+        });
+        assert_eq!(swept.expect("the request completes").rows.len(), 2);
+        assert_eq!(worker.expect("worker thread"), 0, "the worker ends cleanly");
+        let board = s.lock_board();
+        assert!(
+            !board.cancelled.contains(&7),
+            "a completed request is not cancelled"
+        );
+        assert!(board.requests.is_empty(), "its result channel is gone");
+        assert!(board.progress.is_empty(), "its progress is gone");
+        assert!(board.affinity.is_empty(), "its claims are gone");
     }
 
     #[test]

@@ -23,16 +23,8 @@ use san_api::SanitizerKind;
 
 use crate::backoff::Backoff;
 use crate::chaos::{Chaos, LineFate};
-use crate::net::{heartbeat_interval, token_from_env};
+use crate::net::{heartbeat_interval, token_from_env, OPENING_TIMEOUT};
 use crate::wire::{self, Command, Hello, IoLines, LineSource, Reply, ShardSpec};
-
-/// How long a token-bearing worker waits for the peer's `auth` frame
-/// before rejecting it.  A compliant token-bearing peer sends its auth
-/// in the same write batch as its handshake, so in the happy path this
-/// deadline is never even approached; a tokenless peer sends nothing
-/// after its handshake, and without the deadline both sides would sit
-/// out each other's (much longer) silence budgets.
-const AUTH_GATE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Name of the environment variable that switches a cooperating binary
 /// into worker mode (checked by the `sweep` CLI before argument parsing).
@@ -231,7 +223,7 @@ fn serve_session<S: LineSource>(
         }
     }
     if token.is_some() {
-        gate_timeout(Some(AUTH_GATE_TIMEOUT));
+        gate_timeout(Some(OPENING_TIMEOUT));
         let gated = gate_peer(&mut lines, token);
         gate_timeout(None);
         if let Err(reason) = gated {
@@ -347,9 +339,10 @@ pub fn serve_tcp(stream: TcpStream) -> i32 {
 /// [`serve_with_token`]; the gate read is additionally bounded by
 /// a 5-second timeout so a tokenless peer that (correctly) sends
 /// nothing after its handshake is rejected promptly instead of both
-/// sides sitting out their silence budgets.
+/// sides sitting out their silence budgets.  The socket sets
+/// `TCP_NODELAY` ([`crate::net::TcpTransport`] gives the reason).
 pub fn serve_tcp_with(stream: TcpStream, token: Option<String>) -> i32 {
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(write_half) = stream.set_nodelay(true).and_then(|()| stream.try_clone()) else {
         return 2;
     };
     let writer = Arc::new(Mutex::new(write_half));
