@@ -6,11 +6,11 @@
 //! uninstrumented baseline is always run alongside.  `SAN_PARALLEL=0`
 //! disables the per-backend threads of the sweep.
 
-use effective_san::{sanitizers_with_baseline, spec_experiment, SanitizerKind};
+use effective_san::{sanitizers_with_baseline, spec_experiment, Parallelism, SanitizerKind};
 
 fn main() {
     let scale = bench::scale_from_env();
-    let parallelism = bench::parallelism_from_env();
+    let parallelism = Parallelism::from_env();
     let focus = bench::backends_from_args()
         .into_iter()
         .find(|&k| k != SanitizerKind::None)

@@ -8,11 +8,11 @@
 //! `san-api` registry accepts); the uninstrumented baseline is always run
 //! as the reference.  `SAN_PARALLEL=0` disables the per-backend threads.
 
-use effective_san::{sanitizers_with_baseline, spec_experiment, SanitizerKind};
+use effective_san::{sanitizers_with_baseline, spec_experiment, Parallelism, SanitizerKind};
 
 fn main() {
     let scale = bench::scale_from_env();
-    let parallelism = bench::parallelism_from_env();
+    let parallelism = Parallelism::from_env();
     // Deduplicate and prepend the uninstrumented reference; fall back to
     // the figure's three EffectiveSan variants when no (non-baseline)
     // backend was requested.

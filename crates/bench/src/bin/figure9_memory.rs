@@ -1,7 +1,7 @@
 //! Regenerate Figure 9: peak memory of uninstrumented vs EffectiveSan
 //! (full) runs.
 
-use effective_san::{spec_experiment, SanitizerKind};
+use effective_san::{spec_experiment, Parallelism, SanitizerKind};
 
 fn main() {
     let scale = bench::scale_from_env();
@@ -10,7 +10,7 @@ fn main() {
         None,
         scale,
         &[SanitizerKind::None, SanitizerKind::EffectiveFull],
-        bench::parallelism_from_env(),
+        Parallelism::from_env(),
     );
     println!(
         "{:<12} {:>18} {:>18} {:>12}",

@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use effective_san::workloads::SpecBenchmark;
-use effective_san::{issue_breakdown, spec_experiment, SanitizerKind, SpecExperiment};
+use effective_san::{issue_breakdown, spec_experiment, Parallelism, SanitizerKind, SpecExperiment};
 
 fn main() {
     let scale = bench::scale_from_env();
@@ -31,7 +31,7 @@ fn main() {
             bench::parse_backend_names(&named)
         }
     };
-    let experiment = spec_experiment(None, scale, &backends, bench::parallelism_from_env());
+    let experiment = spec_experiment(None, scale, &backends, Parallelism::from_env());
 
     if json {
         println!("{}", sweep::json::experiment_report_json(&experiment, None));

@@ -8,11 +8,11 @@
 //! compared.  Each benchmark compiles once and its backends run on scoped
 //! threads; `SAN_PARALLEL=0` falls back to a sequential sweep.
 
-use effective_san::SanitizerKind;
+use effective_san::{Parallelism, SanitizerKind};
 
 fn main() {
     let scale = bench::scale_from_env();
-    let parallelism = bench::parallelism_from_env();
+    let parallelism = Parallelism::from_env();
     let selected = bench::backends_from_args();
     let sanitizers = if selected.is_empty() {
         effective_san::default_backends()

@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use effective_san::{Parallelism, SanitizerKind, Scale};
+use effective_san::{SanitizerKind, Scale};
 
 /// Resolve the workload scale from the `SCALE` environment variable
 /// (`test`, `small` or `ref`; defaults to `small`).
@@ -74,14 +74,6 @@ pub fn backends_from_args() -> Vec<SanitizerKind> {
         }),
         Err(_) => Vec::new(),
     }
-}
-
-/// Resolve the sweep execution mode from the `SAN_PARALLEL` environment
-/// variable (`sequential`/`off`/… disable the per-backend threads; the
-/// default is parallel).  An unrecognised value panics with the accepted
-/// spellings rather than silently selecting a mode.
-pub fn parallelism_from_env() -> Parallelism {
-    Parallelism::from_env()
 }
 
 /// Print a horizontal rule of the given width.

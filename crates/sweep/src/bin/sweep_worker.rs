@@ -3,9 +3,9 @@
 //! (spawned by the sweep coordinator; of no use interactively).  With
 //! `--listen <addr>` it binds a TCP socket, prints `listening <addr>`
 //! (resolved port included, so `:0` is scriptable), and serves
-//! coordinator connections one at a time — the fleet member behind
-//! `WorkerLaunch::Tcp` and `sweep serve`.  With `--join <addr>` it
-//! dials a daemon's `--register-listen` socket instead, reconnecting
+//! coordinator connections concurrently, one thread each — the fleet
+//! member behind `WorkerLaunch::Tcp` and `sweep serve`.  With `--join`
+//! it dials a daemon's `--register-listen` address instead, reconnecting
 //! under bounded backoff whenever the daemon goes away.
 //!
 //! `--token <T>` (default: the `SWEEP_TOKEN` environment variable)

@@ -1,20 +1,24 @@
-//! Network-capable transports for the coordinator↔worker protocol, plus
-//! the streaming client of the `sweep serve` daemon.
+//! Connections of the sweep protocol: the transports that carry its
+//! lines, the opening every connection starts with, the session a
+//! scheduler holds with a worker ([`WorkerConn`]), and the streaming
+//! client of the `sweep serve` daemon.
 //!
-//! PR 4 made the wire format line-oriented over *any* byte stream exactly
-//! so the process-sharded sweep could later hop machines; this module is
-//! that hop.  A [`Transport`] carries protocol lines over either a worker
-//! process's stdio pipes ([`PipeTransport`]) or a TCP socket
-//! ([`TcpTransport`]), and a [`WorkerConn`] layers the v4 handshake
-//! (version check + [`wire::Hello`] capabilities), heartbeat-aware read
-//! deadlines, and shard execution on top — the coordinator and the
-//! `sweep serve` daemon drive workers through the same type.
+//! A [`Transport`] carries protocol lines over either a worker process's
+//! stdio pipes ([`PipeTransport`]) or a TCP socket ([`TcpTransport`]).
+//! Its reads are pumped through a dedicated thread per connection
+//! ([`LinePump`]) so deadlines work uniformly: blocking pipe reads have
+//! no native timeout, and socket timeouts would tear lines apart
+//! mid-read.
 //!
-//! Reads are pumped through a dedicated thread per connection
-//! ([`LinePump`]) so deadlines work uniformly: blocking pipe reads have no
-//! native timeout, and socket timeouts would tear lines apart mid-read.
+//! Every connection opens in two halves.  The dialling half
+//! ([`WorkerConn::establish`] and the clients) leads with the handshake
+//! line and, holding a token, its wire-v7 `auth` frame, then requires the
+//! peer's handshake.  The accepting half (a worker session, the daemon's
+//! client port) does the same, checks the peer's token with
+//! [`wire::auth_gate`] and reads the peer's first line under
+//! [`wire::first_line`], all within one [`OPENING_TIMEOUT`].
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::process::{Child, ChildStdin};
 use std::sync::{mpsc, Arc};
@@ -24,7 +28,9 @@ use effective_san::{SpecExperiment, SpecRow};
 
 use crate::backoff::Backoff;
 use crate::chaos::{Chaos, LineFate};
-use crate::wire::{self, Hello, LineSource, Reply, ShardSpec, SweepRequest, WireError};
+use crate::wire::{
+    self, Hello, IoLines, LineSource, OpeningError, Reply, ShardSpec, SweepRequest, WireError,
+};
 
 /// Name of the shared-auth-token environment variable.  When set, every
 /// connection this process initiates or accepts carries/requires the
@@ -37,34 +43,17 @@ pub fn token_from_env() -> Option<String> {
     std::env::var(TOKEN_ENV).ok().filter(|t| !t.is_empty())
 }
 
-/// Read deadline on the opening of an accepted connection.  A worker
-/// arms it around its token gate, so a tokenless peer (which correctly
-/// sends nothing after its handshake) is rejected promptly instead of
-/// both sides sitting out their silence budgets.  The daemon arms it on
-/// each client's handshake, `auth`, first line and request block, so a
-/// socket that connects and never writes cannot hold a thread, or
-/// `--shutdown`, hostage.  A compliant peer sends its opening in one
-/// burst, so the happy path never comes near it.
-pub(crate) const OPENING_TIMEOUT: Duration = Duration::from_secs(5);
+/// The deadline on an accepted connection's whole opening, from the
+/// accept: through a worker's `hello`, or through the request block on
+/// the daemon's client port.  A compliant peer sends its opening in one
+/// burst; a peer that never writes, trickles bytes, or (tokenless) faces
+/// a token-bearing worker is closed when it expires, so it cannot hold a
+/// thread, or `--shutdown`, hostage.
+pub const OPENING_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Default cadence of worker heartbeats, overridable with the
-/// `SWEEP_HEARTBEAT_MS` environment variable (workers read it at serve
-/// time, so the coordinator and the fleet can be tuned independently).
-pub const DEFAULT_HEARTBEAT_MS: u64 = 500;
-
-/// Name of the heartbeat-cadence environment variable.
-pub const HEARTBEAT_ENV: &str = "SWEEP_HEARTBEAT_MS";
-
-/// The heartbeat cadence resolved from [`HEARTBEAT_ENV`] (milliseconds;
-/// unset, empty or unparsable values select [`DEFAULT_HEARTBEAT_MS`]).
-pub fn heartbeat_interval() -> Duration {
-    let ms = std::env::var(HEARTBEAT_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(DEFAULT_HEARTBEAT_MS);
-    Duration::from_millis(ms)
-}
+/// How often a TCP worker heartbeats while a shard computes, so the
+/// peer's silence deadline can tell a slow shard from a dead worker.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
 
 /// A reader thread pumping protocol lines into a channel, so the consumer
 /// can apply per-read deadlines with `recv_timeout` regardless of whether
@@ -248,12 +237,12 @@ impl Transport for PipeTransport {
 /// process (or any peer speaking the protocol).
 ///
 /// Every sweep socket sets `TCP_NODELAY` where it enters the protocol:
-/// here for each dialled or accepted stream, in
-/// [`crate::worker::serve_tcp_with`], and on the daemon's client port.
-/// Protocol lines are small writes that each wait on the peer's answer.
-/// Under Nagle's algorithm a small write behind unacknowledged data waits
-/// for the peer's delayed ACK (about 40 ms), which used to make the wire,
-/// not the shards, the cost of a request.
+/// here for each dialled stream and the daemon's registration port, and
+/// in `accept_socket` for the sockets a worker and the daemon's client
+/// port serve.  Protocol lines are small writes that each wait on the
+/// peer's answer.  Under Nagle's algorithm a small write behind
+/// unacknowledged data waits for the peer's delayed ACK (about 40 ms),
+/// which used to make the wire, not the shards, the cost of a request.
 pub struct TcpTransport {
     stream: TcpStream,
     pump: LinePump,
@@ -282,8 +271,8 @@ impl TcpTransport {
         TcpTransport::from_stream(stream, addr.to_string())
     }
 
-    /// Wrap an already established stream (the daemon's accepted worker
-    /// and client connections go through here).
+    /// Wrap an already established stream (the daemon's registration
+    /// port goes through here).
     pub fn from_stream(stream: TcpStream, peer: String) -> Result<TcpTransport, WireError> {
         stream.set_nodelay(true).map_err(|e| WireError::Io {
             message: format!("setting TCP_NODELAY on the stream to {peer}: {e}"),
@@ -331,6 +320,132 @@ impl Drop for TcpTransport {
         // half open even after this handle is gone.
         let _ = self.stream.shutdown(Shutdown::Both);
     }
+}
+
+/// Protocol lines read from an accepted socket.  Until the opening ends
+/// ([`LineSource::end_opening`]), every read — not every line — must
+/// finish within [`OPENING_TIMEOUT`] of the accept, so a peer gains
+/// nothing by trickling bytes.
+pub(crate) type SocketLines = BufReader<OpeningRead>;
+
+/// An accepted socket's read half, failing every read past `deadline`.
+pub(crate) struct OpeningRead {
+    stream: TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl Read for OpeningRead {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Some(deadline) = self.deadline else {
+            return self.stream.read(buf);
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            self.stream.set_read_timeout(Some(left))?;
+            match self.stream.read(buf) {
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                read => return read,
+            }
+        }
+        Err(std::io::Error::new(
+            ErrorKind::TimedOut,
+            "the opening deadline passed",
+        ))
+    }
+}
+
+/// Take an accepted stream into the protocol: set `TCP_NODELAY`
+/// ([`TcpTransport`] gives the reason), arm the opening deadline, and
+/// split off the write half.
+pub(crate) fn accept_socket(stream: TcpStream) -> std::io::Result<(SocketLines, TcpStream)> {
+    stream.set_nodelay(true)?;
+    let writer = stream.try_clone()?;
+    let deadline = Some(Instant::now() + OPENING_TIMEOUT);
+    Ok((BufReader::new(OpeningRead { stream, deadline }), writer))
+}
+
+impl LineSource for SocketLines {
+    fn next_line(&mut self) -> Result<Option<String>, WireError> {
+        IoLines::new(self).next_line()
+    }
+
+    fn end_opening(&mut self) {
+        let read = self.get_mut();
+        read.deadline = None;
+        let _ = read.stream.set_read_timeout(None);
+    }
+}
+
+/// Require the peer's handshake line: another version, any other line,
+/// or the end of the stream fails the opening.
+fn read_handshake<S: LineSource>(lines: &mut S) -> Result<(), WireError> {
+    match lines.next_line()? {
+        Some(line) => wire::check_handshake(&line),
+        None => Err(WireError::UnexpectedEof {
+            expected: "the peer's handshake",
+        }),
+    }
+}
+
+/// The accepting half of a connection's opening, shared by a worker
+/// session and the daemon's client port.  It sends `lead` (the
+/// handshake, plus a worker's own `auth` frame) and requires the peer's
+/// handshake.  Holding a `token`, it runs the peer through
+/// [`wire::auth_gate`], answering a rejection with a structured
+/// `authfail` before any capability exchange.  A worker then sends its
+/// `hello`, which ends its opening: a daemon may idle between shards.
+/// Last comes the peer's first line, under [`wire::first_line`].  The
+/// daemon's client port reads nothing after the request block, so its
+/// deadline is never lifted.
+pub(crate) fn accept_opening<S: LineSource>(
+    lines: &mut S,
+    send: &mut impl FnMut(&[String]) -> bool,
+    lead: &[String],
+    token: Option<&str>,
+    hello: Option<&Hello>,
+) -> Result<Option<String>, OpeningError> {
+    let gone = || {
+        OpeningError::Wire(WireError::Io {
+            message: "the peer stopped reading".to_string(),
+        })
+    };
+    if !send(lead) {
+        return Err(gone());
+    }
+    read_handshake(lines)?;
+    if let Some(token) = token {
+        if let Err(reason) = wire::auth_gate(lines, token) {
+            send(&[wire::encode_auth_reject(reason)]);
+            // Drain what the peer already wrote before closing: closing a
+            // socket with unread data resets it, which could wipe the
+            // frame out from under a peer still writing.
+            while let Ok(Some(_)) = lines.next_line() {}
+            return Err(OpeningError::Rejected(reason));
+        }
+    }
+    if let Some(hello) = hello {
+        if !send(&[wire::encode_hello(hello)]) {
+            return Err(gone());
+        }
+        lines.end_opening();
+    }
+    wire::first_line(lines)
+}
+
+/// The dialling half of a connection's opening, shared by
+/// [`WorkerConn::establish`] and the clients: lead with the handshake
+/// and, holding a `token`, this side's `auth` frame, then require the
+/// peer's handshake within `wait`.
+fn dial_opening(
+    transport: &mut dyn Transport,
+    token: Option<&str>,
+    wait: Option<Duration>,
+) -> Result<(), WireError> {
+    transport.send_line(wire::HANDSHAKE)?;
+    if let Some(token) = token {
+        transport.send_line(&wire::encode_auth(token))?;
+    }
+    read_handshake(&mut DeadlineLines::new(transport, None, wait))
 }
 
 /// Why one attempt at running a shard on a worker failed — the retry
@@ -456,75 +571,32 @@ pub struct WorkerConn {
 }
 
 impl WorkerConn {
-    /// Perform the v4 handshake on a fresh transport: exchange handshake
-    /// lines (rejecting version skew loudly), run the wire-v7 token gate
-    /// in both directions, and read the worker's [`Hello`].  `silence`
-    /// bounds each read, so a wedged peer cannot hang the caller.
-    ///
-    /// When `token` is set, this side sends its `auth` frame right after
-    /// the handshake line and requires a matching one from the worker
-    /// (the worker withholds its hello until it has verified us, so the
-    /// line after its optional `auth` is deterministically either the
-    /// hello or a structured `authfail`).  Error strings never contain
-    /// the token.
+    /// Open a session on a fresh transport: the dialling half of the
+    /// opening, then — holding a `token` — the worker's `auth` frame
+    /// through [`wire::auth_gate`], then the worker's [`Hello`] under
+    /// [`wire::first_line`].  A worker withholds its hello until it has
+    /// verified this side, so that line is either the hello or a
+    /// structured `authfail`.  `silence` bounds each read, so a wedged
+    /// peer cannot hang the caller.  Error strings never contain the
+    /// token.
     pub fn establish(
         mut transport: Box<dyn Transport>,
         silence: Option<Duration>,
         token: Option<&str>,
     ) -> Result<WorkerConn, String> {
-        let result = (|| -> Result<Hello, String> {
-            transport
-                .send_line(wire::HANDSHAKE)
-                .map_err(|e| format!("handshake write: {e}"))?;
-            if let Some(token) = token {
-                transport
-                    .send_line(&wire::encode_auth(token))
-                    .map_err(|e| format!("auth write: {e}"))?;
-            }
-            let (peer_token, line) = {
+        let opened = dial_opening(transport.as_mut(), token, silence)
+            .map_err(OpeningError::from)
+            .and_then(|()| {
                 let mut lines = DeadlineLines::new(transport.as_mut(), None, silence);
-                match lines.next_line() {
-                    Ok(Some(line)) => wire::check_handshake(&line).map_err(|e| e.to_string())?,
-                    Ok(None) => {
-                        return Err("worker closed the stream before the handshake".to_string())
-                    }
-                    Err(e) => return Err(e.to_string()),
+                if let Some(token) = token {
+                    wire::auth_gate(&mut lines, token).map_err(OpeningError::Rejected)?;
                 }
-                let mut peer_token = None;
-                let mut line = match lines.next_line() {
-                    Ok(Some(line)) => line,
-                    Ok(None) => return Err("worker closed the stream before its hello".to_string()),
-                    Err(e) => return Err(e.to_string()),
-                };
-                if wire::is_auth(&line) {
-                    peer_token = Some(wire::decode_auth(&line).map_err(|e| e.to_string())?);
-                    line = match lines.next_line() {
-                        Ok(Some(line)) => line,
-                        Ok(None) => {
-                            return Err("worker closed the stream before its hello".to_string())
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    };
-                }
-                (peer_token, line)
-            };
-            if let Some(reason) = wire::parse_auth_reject(&line) {
-                return Err(format!("worker rejected this connection: {reason}"));
-            }
-            if let Some(token) = token {
-                if peer_token.as_deref() != Some(token) {
-                    let reason = if peer_token.is_none() {
-                        "peer presented no auth token"
-                    } else {
-                        "auth token mismatch"
-                    };
-                    let _ = transport.send_line(&wire::encode_auth_reject(reason));
-                    return Err(format!("worker failed authentication: {reason}"));
-                }
-            }
-            wire::decode_hello(&line).map_err(|e| e.to_string())
-        })();
-        match result {
+                let hello = wire::first_line(&mut lines)?.ok_or(WireError::UnexpectedEof {
+                    expected: "the worker's hello",
+                })?;
+                Ok(wire::decode_hello(&hello)?)
+            });
+        match opened {
             Ok(hello) => Ok(WorkerConn {
                 transport,
                 hello,
@@ -532,8 +604,11 @@ impl WorkerConn {
                 last_hb: None,
             }),
             Err(e) => {
+                if let OpeningError::Rejected(reason) = e {
+                    let _ = transport.send_line(&wire::encode_auth_reject(reason));
+                }
                 transport.kill();
-                Err(e)
+                Err(e.to_string())
             }
         }
     }
@@ -643,6 +718,16 @@ impl From<WireError> for ClientError {
     }
 }
 
+impl From<OpeningError> for ClientError {
+    fn from(e: OpeningError) -> Self {
+        match e {
+            OpeningError::Wire(e) => ClientError::Wire(e),
+            OpeningError::Rejected(reason) => ClientError::Unauthorized(reason.to_string()),
+            OpeningError::Refused(reason) => ClientError::Unauthorized(reason),
+        }
+    }
+}
+
 /// Knobs for the streaming client: credentials and the two bounded retry
 /// windows (connect refusals, `busy` admission rejects).
 #[derive(Clone, Debug)]
@@ -674,42 +759,34 @@ impl Default for ClientOptions {
 /// Connect to `addr`, retrying refused attempts under the shared
 /// [`Backoff`] schedule (bounded by `options.connect_attempts`).
 fn connect_with_retry(addr: &str, options: &ClientOptions) -> Result<TcpTransport, WireError> {
-    let attempts = options.connect_attempts.max(1);
-    let mut backoff = Backoff::from_env(0x00C1_1E57);
-    let mut last = None;
-    for attempt in 0..attempts {
+    let mut backoff = Backoff::standard(0x00C1_1E57);
+    for _ in 1..options.connect_attempts.max(1) {
         match TcpTransport::connect(addr, Some(options.connect_timeout)) {
             Ok(transport) => return Ok(transport),
-            Err(e) => {
-                last = Some(e);
-                if attempt + 1 < attempts {
-                    std::thread::sleep(backoff.next_delay());
-                }
-            }
+            Err(_) => std::thread::sleep(backoff.next_delay()),
         }
     }
-    Err(last.unwrap_or(WireError::Io {
-        message: format!("no connection attempts made to {addr}"),
-    }))
+    TcpTransport::connect(addr, Some(options.connect_timeout))
 }
 
-/// Open a connection to the daemon and run the client side of the
-/// handshake + token exchange.
+/// Open a connection to the daemon and run the dialling half of the
+/// opening.
 fn client_connect(addr: &str, options: &ClientOptions) -> Result<TcpTransport, ClientError> {
     let mut transport = connect_with_retry(addr, options)?;
-    transport.send_line(wire::HANDSHAKE)?;
-    if let Some(token) = options.token.as_deref() {
-        transport.send_line(&wire::encode_auth(token))?;
-    }
-    match transport.recv_line(None)? {
-        Some(line) => wire::check_handshake(&line)?,
-        None => {
-            return Err(ClientError::Incomplete(
-                "daemon closed the connection before the handshake".to_string(),
-            ))
-        }
-    }
+    dial_opening(&mut transport, options.token.as_deref(), None)?;
     Ok(transport)
+}
+
+/// The daemon's first reply line, within `wait`, under
+/// [`wire::first_line`]: an `authfail` is [`ClientError::Unauthorized`].
+fn reply_line(
+    transport: &mut TcpTransport,
+    wait: Option<Duration>,
+    awaited: &str,
+) -> Result<String, ClientError> {
+    wire::first_line(&mut DeadlineLines::new(transport, None, wait))?.ok_or_else(|| {
+        ClientError::Incomplete(format!("daemon closed the connection before {awaited}"))
+    })
 }
 
 /// The two ways one submission attempt can end short of failure.
@@ -785,52 +862,35 @@ fn sweep_once<F: FnMut(usize, &SpecRow)>(
     let sent = wire::encode_request(request)
         .iter()
         .try_for_each(|line| transport.send_line(line));
-    if let Err(e) = sent {
-        // The daemon may have rejected this connection (authfail, busy)
-        // and closed while the request was still being written; the
-        // structured frame beats the raw broken pipe when it survived.
-        if let Ok(Some(line)) = transport.recv_line(Some(Duration::from_secs(5))) {
-            if let Some(reason) = wire::parse_auth_reject(&line) {
-                return Err(ClientError::Unauthorized(reason));
-            }
-            if let Some(busy) = wire::parse_busy(&line) {
-                let (retry_after_ms, message) = busy?;
-                return Ok(SweepOutcome::Busy {
-                    retry_after_ms,
-                    message,
-                });
-            }
+    // The daemon may have rejected this connection (authfail, busy) and
+    // closed while the request was still being written; the structured
+    // frame beats the raw broken pipe when it survived.
+    let wait = sent.is_err().then_some(Duration::from_secs(5));
+    let reply = reply_line(&mut transport, wait, "accepting the request");
+    let line = match (sent, reply) {
+        (_, Err(ClientError::Unauthorized(reason))) => {
+            return Err(ClientError::Unauthorized(reason))
         }
-        return Err(e.into());
-    }
-    let accepted = {
-        let Some(line) = transport.recv_line(None)? else {
-            return Err(ClientError::Incomplete(
-                "daemon closed the connection before accepting the request".to_string(),
-            ));
-        };
-        if let Some(reason) = wire::parse_auth_reject(&line) {
-            return Err(ClientError::Unauthorized(reason));
-        }
-        if let Some(busy) = wire::parse_busy(&line) {
-            let (retry_after_ms, message) = busy?;
-            return Ok(SweepOutcome::Busy {
-                retry_after_ms,
-                message,
-            });
-        }
-        if line.starts_with("sfail\t") {
-            let lines = vec![line];
-            let mut src = wire::SliceLines::new(&lines);
-            match wire::decode_service_event(&mut src)? {
-                wire::ServiceEvent::Failed { message } => {
-                    return Err(ClientError::Service(message))
-                }
-                _ => unreachable!("sfail lines decode to Failed"),
-            }
-        }
-        wire::decode_accepted(&line)?
+        (Ok(()), reply) => reply?,
+        (Err(_), Ok(line)) if wire::parse_busy(&line).is_some() => line,
+        (Err(e), _) => return Err(e.into()),
     };
+    if let Some(busy) = wire::parse_busy(&line) {
+        let (retry_after_ms, message) = busy?;
+        return Ok(SweepOutcome::Busy {
+            retry_after_ms,
+            message,
+        });
+    }
+    if line.starts_with("sfail\t") {
+        let lines = vec![line];
+        let mut src = wire::SliceLines::new(&lines);
+        match wire::decode_service_event(&mut src)? {
+            wire::ServiceEvent::Failed { message } => return Err(ClientError::Service(message)),
+            _ => unreachable!("sfail lines decode to Failed"),
+        }
+    }
+    let accepted = wire::decode_accepted(&line)?;
     let mut rows: Vec<Option<SpecRow>> = vec![None; accepted];
     let mut lines = DeadlineLines::new(&mut transport, None, None);
     loop {
@@ -886,17 +946,7 @@ pub fn client_stats_with(
 ) -> Result<wire::ServiceStats, ClientError> {
     let mut transport = client_connect(addr, options)?;
     transport.send_line(wire::STATS_REQUEST)?;
-    let first = match transport.recv_line(None)? {
-        Some(line) => line,
-        None => {
-            return Err(ClientError::Incomplete(
-                "daemon closed the connection before answering the stats query".to_string(),
-            ))
-        }
-    };
-    if let Some(reason) = wire::parse_auth_reject(&first) {
-        return Err(ClientError::Unauthorized(reason));
-    }
+    let first = reply_line(&mut transport, None, "answering the stats query")?;
     let lines = DeadlineLines::new(&mut transport, None, None);
     let mut lines = wire::PrependedLine::new(Some(first), lines);
     Ok(wire::decode_stats(&mut lines)?)
@@ -915,18 +965,13 @@ pub fn client_stats_with(
 pub fn client_shutdown(addr: &str, options: &ClientOptions) -> Result<(), ClientError> {
     let mut transport = client_connect(addr, options)?;
     transport.send_line(wire::SHUTDOWN_REQUEST)?;
-    match transport.recv_line(Some(Duration::from_secs(30)))? {
-        Some(line) if line == wire::SHUTDOWN_ACK => Ok(()),
-        Some(line) => match wire::parse_auth_reject(&line) {
-            Some(reason) => Err(ClientError::Unauthorized(reason)),
-            None => Err(ClientError::Wire(WireError::UnexpectedLine {
-                expected: "a `shutdown-ok` acknowledgement",
-                got: line,
-            })),
-        },
-        None => Err(ClientError::Incomplete(
-            "daemon closed the connection before acknowledging shutdown".to_string(),
-        )),
+    let wait = Some(Duration::from_secs(30));
+    match reply_line(&mut transport, wait, "acknowledging shutdown")? {
+        line if line == wire::SHUTDOWN_ACK => Ok(()),
+        line => Err(ClientError::Wire(WireError::UnexpectedLine {
+            expected: "a `shutdown-ok` acknowledgement",
+            got: line,
+        })),
     }
 }
 

@@ -44,9 +44,10 @@
 //! being queued without bound.  A `shutdown` control frame (token-gated
 //! like everything else) stops intake, drains in-flight requests to
 //! their structured end, releases the fleet, and lets the process exit 0.
-//! Each read of a client's opening (handshake, `auth`, first line,
-//! request block) has a 5 s deadline, so a socket that connects and
-//! never writes cannot hold that drain open.
+//! A client's whole opening (handshake, `auth`, first line, request
+//! block) must arrive within 5 s of the accept, so a socket that
+//! connects and never writes, or trickles a byte at a time, cannot hold
+//! that drain open.
 //!
 //! Rows stream back incrementally: as soon as every chunk of one
 //! benchmark has arrived, the fragments are merged (the same
@@ -63,7 +64,7 @@
 //! one dead thread wedge every other request behind a poisoned lock.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,11 +80,11 @@ use workloads::{Scale, SpecBenchmark};
 use crate::backoff::Backoff;
 use crate::coordinator::{ShardStrategy, SweepConfig, SweepError, WorkerLaunch};
 use crate::net::{
-    token_from_env, AttemptError, PipeTransport, TcpTransport, Transport, WorkerConn,
-    OPENING_TIMEOUT,
+    accept_opening, accept_socket, token_from_env, AttemptError, PipeTransport, TcpTransport,
+    Transport, WorkerConn,
 };
 use crate::shard::{merge_experiment, plan_shards, MergeError, Shard};
-use crate::wire::{self, IoLines, LineSource, ServiceEvent, ShardSpec, SweepRequest};
+use crate::wire::{self, OpeningError, ServiceEvent, ShardSpec, SweepRequest};
 
 /// Configuration of a [`serve_forever`] daemon.
 #[derive(Clone, Debug)]
@@ -121,7 +122,7 @@ pub struct ServeOptions {
 impl ServeOptions {
     /// Defaults for a daemon at `listen` over `workers`: 3 attempts per
     /// shard, no shard budget, a 10s silence deadline (workers heartbeat
-    /// every [`crate::net::DEFAULT_HEARTBEAT_MS`]ms while busy, so only a
+    /// every [`crate::net::HEARTBEAT_INTERVAL`] while busy, so only a
     /// dead peer can go silent that long), no registration listener, no
     /// admission bounds, and the token from [`crate::net::TOKEN_ENV`].
     pub fn new(listen: String, workers: Vec<String>) -> ServeOptions {
@@ -755,7 +756,7 @@ impl Scheduler {
     /// retires.  The module docs state what each failure costs.
     fn run_slot(&self, slot: usize, source: SlotSource, mut conn: Option<WorkerConn>) {
         let telemetry = self.telemetry(slot);
-        let mut backoff = Backoff::from_env(0xD1A1_0007 ^ slot as u64);
+        let mut backoff = Backoff::standard(0xD1A1_0007 ^ slot as u64);
         while let Some(job) = self.next_for(slot) {
             let spec = ShardSpec {
                 id: job.shard.id,
@@ -838,39 +839,25 @@ impl Scheduler {
         }
     }
 
-    /// One client connection: handshake, authenticate, decode the
-    /// request (or answer a `stats` / `shutdown` control frame), enqueue
-    /// its shards, merge and stream rows as benchmarks complete.  Each
-    /// read of the opening is bounded by [`OPENING_TIMEOUT`].
+    /// One client connection: the accepting half of the opening
+    /// ([`accept_opening`]), then the request block (or a `stats` /
+    /// `shutdown` control frame in its place), all within the opening
+    /// deadline; then enqueue its shards, merge and stream rows as
+    /// benchmarks complete.
     fn client_loop(&self, stream: TcpStream, req_id: u64) {
-        let opened = stream
-            .set_nodelay(true)
-            .and_then(|()| stream.set_read_timeout(Some(OPENING_TIMEOUT)))
-            .and_then(|()| stream.try_clone());
-        let write_half = match opened {
-            Ok(w) => w,
-            Err(_) => return,
+        let Ok((mut lines, write_half)) = accept_socket(stream) else {
+            return;
         };
-        let send = |lines: &[String]| -> bool {
+        let mut send = |lines: &[String]| -> bool {
             let mut out = &write_half;
             lines.iter().all(|line| writeln!(out, "{line}").is_ok()) && out.flush().is_ok()
         };
-        let mut lines = IoLines::new(BufReader::new(stream));
-        if !send(&[wire::HANDSHAKE.to_string()]) {
-            return;
-        }
-        match lines.next_line() {
-            Ok(Some(line)) if line == wire::HANDSHAKE => {}
-            _ => return, // wrong version or vanished client: nothing to salvage
-        }
-        // v7: the optional `auth` frame rides right after the version
-        // line; with a daemon token configured it is mandatory, and a
-        // mismatch ends the conversation before any capability exchange.
-        // The rejection (and its trace) names the failure, never the
-        // token.
-        let first = match wire::auth_gate(&mut lines, self.options.token.as_deref()) {
-            Ok(wire::AuthGate::Accepted { leftover }) => leftover,
-            Ok(wire::AuthGate::Rejected { reason }) => {
+        let lead = [wire::HANDSHAKE.to_string()];
+        let token = self.options.token.as_deref();
+        let first = match accept_opening(&mut lines, &mut send, &lead, token, None) {
+            Ok(Some(first)) => first,
+            // The rejection and its trace name the failure, never the token.
+            Err(OpeningError::Rejected(reason)) => {
                 eprintln!(
                     "sweep serve: client of request {req_id} failed authentication: {reason}"
                 );
@@ -878,29 +865,15 @@ impl Scheduler {
                     "serve_auth_reject",
                     &[("req", req_id.into()), ("reason", reason.into())],
                 );
-                send(&[wire::encode_auth_reject(reason)]);
-                // Drain what the peer already wrote before closing:
-                // dropping a socket with unread data resets it, which
-                // could wipe the reject frame out from under a client
-                // still mid-request-write.
-                let _ = write_half.shutdown(std::net::Shutdown::Write);
-                let _ = write_half.set_read_timeout(Some(Duration::from_secs(2)));
-                while let Ok(Some(_)) = lines.next_line() {}
                 return;
             }
-            Err(_) => return,
+            // Wrong version, a vanished or silent client: nothing to salvage.
+            Ok(None) | Err(_) => return,
         };
         // A bare `stats` line in place of the request block queries the
         // daemon's live statistics; a `shutdown` line asks the daemon to
         // drain and exit.  Any other first line is handed back to the
         // request decoder.
-        let first = match first {
-            Some(line) => line,
-            None => match lines.next_line() {
-                Ok(Some(line)) => line,
-                _ => return,
-            },
-        };
         if first == wire::STATS_REQUEST {
             send(&wire::encode_stats(&self.snapshot_stats()));
             return;
@@ -922,8 +895,6 @@ impl Scheduler {
                 return;
             }
         };
-        // The opening is complete: lift its deadline.
-        let _ = write_half.set_read_timeout(None);
         if let Err(message) = validate(&request) {
             self.requests_failed.inc();
             send(&wire::encode_service_event(&ServiceEvent::Failed {

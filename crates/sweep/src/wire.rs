@@ -179,6 +179,10 @@ impl std::error::Error for WireError {}
 pub trait LineSource {
     /// The next line, without its terminator; `None` at end of stream.
     fn next_line(&mut self) -> Result<Option<String>, WireError>;
+
+    /// The connection's opening is over: lift its deadline.  Only an
+    /// accepted socket has one; every other source ignores this.
+    fn end_opening(&mut self) {}
 }
 
 /// [`LineSource`] over an in-memory slice of lines.
@@ -660,58 +664,69 @@ pub fn parse_busy(line: &str) -> Option<Result<(u64, String), WireError>> {
     )
 }
 
-/// The outcome of the server-side token gate that runs right after the
-/// handshake exchange (see [`auth_gate`]).
-pub enum AuthGate {
-    /// The peer is in.  When the local side carries no token but the
-    /// peer sent something other than an `auth` line, that line is
-    /// handed back here so the protocol can resume with it.
-    Accepted {
-        /// A non-`auth` line consumed while peeking, to be replayed.
-        leftover: Option<String>,
-    },
-    /// The peer is out; send them [`encode_auth_reject`] with this
-    /// reason and close.  The reason never contains a token.
-    Rejected {
-        /// Why the peer was rejected.
-        reason: &'static str,
-    },
+/// The wire-v7 token gate, the one place a presented token is checked:
+/// the next line must be an [`encode_auth`] frame carrying `token`.
+/// Anything else — a wrong or malformed token, another line, end of
+/// stream, a failed or timed-out read — is a rejection with one of two
+/// fixed reasons, so no rejection can echo a token.
+pub fn auth_gate<S: LineSource>(src: &mut S, token: &str) -> Result<(), &'static str> {
+    match src.next_line() {
+        Ok(Some(line)) if is_auth(&line) => match decode_auth(&line) {
+            Ok(presented) if presented == token => Ok(()),
+            _ => Err("auth token mismatch"),
+        },
+        _ => Err("peer presented no auth token"),
+    }
 }
 
-/// Run the wire-v7 token gate over the lines following a peer's
-/// handshake.  A side configured with `local_token` requires the next
-/// line to be a matching [`encode_auth`] frame; a side without one
-/// accepts anything (consuming a stray `auth` line so an authenticated
-/// peer can still talk to an open server).
-pub fn auth_gate<S: LineSource>(
-    src: &mut S,
-    local_token: Option<&str>,
-) -> Result<AuthGate, WireError> {
-    let Some(token) = local_token else {
-        // Open side: peek one line; swallow an auth frame, replay
-        // anything else.  EOF is fine — the peer just left.
-        return Ok(match src.next_line()? {
-            Some(line) if is_auth(&line) => AuthGate::Accepted { leftover: None },
-            line => AuthGate::Accepted { leftover: line },
-        });
-    };
-    let line = next_required(src, "an `auth` line")?;
-    if !is_auth(&line) {
-        return Ok(AuthGate::Rejected {
-            reason: "peer presented no auth token",
-        });
+/// The first line after a connection's opening, under one rule for every
+/// connection class: a stray `auth` frame (a token-bearing peer talking
+/// to an open side) is skipped, and an `authfail` (the peer refused this
+/// side) surfaces as [`OpeningError::Refused`].  `None` at end of stream.
+pub fn first_line<S: LineSource>(src: &mut S) -> Result<Option<String>, OpeningError> {
+    let mut line = src.next_line()?;
+    if line.as_deref().is_some_and(is_auth) {
+        line = src.next_line()?;
     }
-    if decode_auth(&line)? != token {
-        return Ok(AuthGate::Rejected {
-            reason: "auth token mismatch",
-        });
+    match line.as_deref().and_then(parse_auth_reject) {
+        Some(reason) => Err(OpeningError::Refused(reason)),
+        None => Ok(line),
     }
-    Ok(AuthGate::Accepted { leftover: None })
+}
+
+/// Why a connection's opening ended without a working session.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum OpeningError {
+    /// The stream failed, ended or timed out, or the peer spoke another
+    /// wire version.
+    Wire(WireError),
+    /// The peer failed this side's [`auth_gate`] and was sent an
+    /// `authfail` with this reason.
+    Rejected(&'static str),
+    /// The peer refused this side with an `authfail` carrying this reason.
+    Refused(String),
+}
+
+impl fmt::Display for OpeningError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OpeningError::Wire(e) => write!(f, "{e}"),
+            OpeningError::Rejected(reason) => write!(f, "peer failed authentication: {reason}"),
+            OpeningError::Refused(reason) => write!(f, "peer rejected this connection: {reason}"),
+        }
+    }
+}
+
+impl From<WireError> for OpeningError {
+    fn from(e: WireError) -> Self {
+        OpeningError::Wire(e)
+    }
 }
 
 /// A [`LineSource`] that replays one already-consumed line before
 /// delegating to the underlying source — used to resume decoding after
-/// peeking (the [`auth_gate`] leftover, a daemon's first-line dispatch).
+/// peeking (a connection's [`first_line`], a daemon's first-line
+/// dispatch).
 pub struct PrependedLine<S: LineSource> {
     line: Option<String>,
     rest: S,
@@ -1547,15 +1562,12 @@ mod tests {
         // Matching tokens pass.
         let lines = vec![encode_auth("s3cret")];
         let mut src = SliceLines::new(&lines);
-        assert!(matches!(
-            auth_gate(&mut src, Some("s3cret")).unwrap(),
-            AuthGate::Accepted { leftover: None }
-        ));
+        assert_eq!(auth_gate(&mut src, "s3cret"), Ok(()));
 
         // A wrong token is rejected with the mismatch reason.
         let lines = vec![encode_auth("wr0ng")];
         let mut src = SliceLines::new(&lines);
-        let AuthGate::Rejected { reason } = auth_gate(&mut src, Some("s3cret")).unwrap() else {
+        let Err(reason) = auth_gate(&mut src, "s3cret") else {
             panic!("wrong token was accepted");
         };
         assert_eq!(reason, "auth token mismatch");
@@ -1567,7 +1579,7 @@ mod tests {
         // No token at all is rejected before any capability exchange.
         let lines = vec![STATS_REQUEST.to_string()];
         let mut src = SliceLines::new(&lines);
-        let AuthGate::Rejected { reason } = auth_gate(&mut src, Some("s3cret")).unwrap() else {
+        let Err(reason) = auth_gate(&mut src, "s3cret") else {
             panic!("tokenless peer was accepted by a token-bearing side");
         };
         assert_eq!(reason, "peer presented no auth token");
@@ -1575,17 +1587,15 @@ mod tests {
         // An open side replays a non-auth line and swallows an auth one.
         let lines = vec![STATS_REQUEST.to_string()];
         let mut src = SliceLines::new(&lines);
-        let AuthGate::Accepted { leftover } = auth_gate(&mut src, None).unwrap() else {
+        let Ok(leftover) = first_line(&mut src) else {
             panic!("open side rejected a peer");
         };
         assert_eq!(leftover.as_deref(), Some(STATS_REQUEST));
         let lines = vec![encode_auth("whatever"), STATS_REQUEST.to_string()];
         let mut src = SliceLines::new(&lines);
-        let AuthGate::Accepted { leftover } = auth_gate(&mut src, None).unwrap() else {
+        let Ok(leftover) = first_line(&mut src) else {
             panic!("open side rejected an authenticated peer");
         };
-        assert_eq!(leftover, None);
-        let mut gated = PrependedLine::new(leftover, src);
-        assert_eq!(gated.next_line().unwrap().as_deref(), Some(STATS_REQUEST));
+        assert_eq!(leftover.as_deref(), Some(STATS_REQUEST));
     }
 }

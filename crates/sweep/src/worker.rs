@@ -8,22 +8,21 @@
 //!
 //! Each shard runs through the ordinary in-process sweep
 //! (`effective_san::spec_experiment` restricted to one benchmark and the
-//! shard's backend chunk), so a worker's reports are — by the PR 3
+//! shard's backend chunk), so a worker's reports are — by the
 //! determinism contract — bit-identical to the ones the coordinator would
 //! have produced itself.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use effective_san::spec_experiment;
 use san_api::SanitizerKind;
 
 use crate::backoff::Backoff;
 use crate::chaos::{Chaos, LineFate};
-use crate::net::{heartbeat_interval, token_from_env, OPENING_TIMEOUT};
+use crate::net::{accept_opening, accept_socket, token_from_env, HEARTBEAT_INTERVAL};
 use crate::wire::{self, Command, Hello, IoLines, LineSource, Reply, ShardSpec};
 
 /// Name of the environment variable that switches a cooperating binary
@@ -56,57 +55,35 @@ pub const HANG_ONCE_PATH_ENV: &str = "SWEEP_TEST_HANG_ONCE_PATH";
 /// protocol exits, so tests can assert the failure mode they injected).
 pub const CRASH_EXIT_CODE: i32 = 101;
 
-fn maybe_crash(spec: &ShardSpec) {
-    let Ok(bench) = std::env::var(CRASH_BENCH_ENV) else {
-        return;
-    };
-    if bench != spec.benchmark {
-        return;
+/// Whether a test hook fires on `spec`: `bench_env` names its benchmark
+/// and, when `once_env` names a flag file, the flag does not exist yet
+/// (it is created here, so the retry survives).
+fn hook_fires(spec: &ShardSpec, bench_env: &str, once_env: &str) -> bool {
+    if std::env::var(bench_env).ok().as_deref() != Some(spec.benchmark.as_str()) {
+        return false;
     }
-    match std::env::var(CRASH_ONCE_PATH_ENV) {
+    match std::env::var(once_env) {
+        Ok(path) if std::path::Path::new(&path).exists() => false,
         Ok(path) => {
-            if !std::path::Path::new(&path).exists() {
-                // Leave the flag so the retry survives, then die mid-shard.
-                let _ = std::fs::write(&path, b"crashed");
-                std::process::exit(CRASH_EXIT_CODE);
-            }
+            let _ = std::fs::write(&path, b"fired");
+            true
         }
-        Err(_) => std::process::exit(CRASH_EXIT_CODE),
-    }
-}
-
-fn maybe_hang(spec: &ShardSpec) {
-    let Ok(bench) = std::env::var(HANG_BENCH_ENV) else {
-        return;
-    };
-    if bench != spec.benchmark {
-        return;
-    }
-    if let Ok(path) = std::env::var(HANG_ONCE_PATH_ENV) {
-        if std::path::Path::new(&path).exists() {
-            return;
-        }
-        let _ = std::fs::write(&path, b"hung");
-    }
-    // Wedge while holding the shard: the coordinator's shard/silence
-    // deadline has to notice — nothing else will, because the process is
-    // alive and (in TCP mode) still heartbeating.
-    loop {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-/// The capability advertisement this worker sends after the handshake.
-fn hello() -> Hello {
-    Hello {
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        backends: SanitizerKind::ALL.to_vec(),
+        Err(_) => true,
     }
 }
 
 fn compute_shard(spec: &ShardSpec) -> Reply {
-    maybe_crash(spec);
-    maybe_hang(spec);
+    if hook_fires(spec, CRASH_BENCH_ENV, CRASH_ONCE_PATH_ENV) {
+        std::process::exit(CRASH_EXIT_CODE);
+    }
+    if hook_fires(spec, HANG_BENCH_ENV, HANG_ONCE_PATH_ENV) {
+        // Wedge while holding the shard: the coordinator's shard/silence
+        // deadline has to notice — nothing else will, because the process
+        // is alive and (in TCP mode) still heartbeating.
+        loop {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
     // `spec_experiment` panics on unknown benchmarks / compile failures;
     // catching the panic turns it into a structured `error` reply the
     // coordinator can surface instead of a bare nonzero exit.
@@ -145,124 +122,73 @@ fn compute_shard(spec: &ShardSpec) -> Reply {
     }
 }
 
-/// The worker's side of the post-handshake token gate over a blocking
-/// line source.  With a local token, the next line must be a matching
-/// `auth` frame (`Err(reason)` otherwise — the caller sends the
-/// structured `authfail` and exits).  Without one, nothing is read here:
-/// the command loop tolerates a stray leading `auth` line instead, so a
-/// tokenless worker never blocks waiting for a frame that may not come.
-fn gate_peer<S: LineSource>(lines: &mut S, token: Option<&str>) -> Result<(), &'static str> {
-    let Some(token) = token else {
-        return Ok(());
-    };
-    match lines.next_line() {
-        Ok(Some(line)) if wire::is_auth(&line) => match wire::decode_auth(&line) {
-            Ok(presented) if presented == token => Ok(()),
-            _ => Err("auth token mismatch"),
-        },
-        _ => Err("peer presented no auth token"),
-    }
-}
-
-/// Dispose of pre-command stray lines: swallow a leading `auth` frame a
-/// token-bearing peer sent to a tokenless worker, and surface a leading
-/// `authfail` (the peer rejected *us*).  Returns the line to replay into
-/// the command decoder, or `Err` with the exit code.
-fn first_command_line<S: LineSource>(lines: &mut S) -> Result<Option<String>, i32> {
-    match lines.next_line() {
-        Ok(Some(line)) if wire::is_auth(&line) => Ok(None),
-        Ok(Some(line)) => {
-            if let Some(reason) = wire::parse_auth_reject(&line) {
-                eprintln!("sweep_worker: peer rejected this worker: {reason}");
-                return Err(2);
-            }
-            Ok(Some(line))
-        }
-        Ok(None) => Ok(None),
-        Err(e) => {
-            eprintln!("sweep_worker: {e}");
-            Err(2)
-        }
-    }
-}
-
 /// One worker session over any line transport: everything the stdio
-/// and TCP workers share.  The opening sends the handshake (plus this
-/// worker's `auth` frame), checks the peer's version, gates its token
-/// (`gate_timeout` arms a read deadline around the gate where the
-/// transport has one), sends `hello`, and disposes of a stray first
-/// line.  Then `shard` commands are answered until `done` or end of
-/// input, with `computing` raised around each shard.  `send` writes one
-/// block of lines.  Returns the process exit code.
+/// and TCP workers share.  The opening is the accepting half
+/// ([`accept_opening`]), ending at this worker's `hello`.  Then `shard`
+/// commands are answered until `done` or end of input.  Shards compute on
+/// a thread of the session's own, so this thread stays its one writer:
+/// `send` writes each reply and, with `heartbeat` set, a heartbeat at
+/// that cadence while a shard computes.  Returns the process exit code.
 fn serve_session<S: LineSource>(
     mut lines: S,
     token: Option<&str>,
     mut send: impl FnMut(&[String]) -> bool,
-    mut gate_timeout: impl FnMut(Option<Duration>),
-    computing: impl Fn(bool),
+    heartbeat: Option<Duration>,
 ) -> i32 {
-    let mut opening = vec![wire::HANDSHAKE.to_string()];
-    opening.extend(token.map(wire::encode_auth));
-    if !send(&opening) {
-        return 2;
-    }
-    match lines.next_line() {
-        Ok(Some(line)) if line == wire::HANDSHAKE => {}
-        Ok(other) => {
-            eprintln!(
-                "sweep_worker: {}",
-                wire::WireError::Version {
-                    got: other.unwrap_or_else(|| "<eof>".to_string()),
-                }
-            );
-            return 2;
-        }
+    let mut lead = vec![wire::HANDSHAKE.to_string()];
+    lead.extend(token.map(wire::encode_auth));
+    let hello = Hello {
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        backends: SanitizerKind::ALL.to_vec(),
+    };
+    let first = match accept_opening(&mut lines, &mut send, &lead, token, Some(&hello)) {
+        Ok(first) => first,
         Err(e) => {
             eprintln!("sweep_worker: {e}");
             return 2;
         }
-    }
-    if token.is_some() {
-        gate_timeout(Some(OPENING_TIMEOUT));
-        let gated = gate_peer(&mut lines, token);
-        gate_timeout(None);
-        if let Err(reason) = gated {
-            let _ = send(&[wire::encode_auth_reject(reason)]);
-            eprintln!("sweep_worker: rejected peer: {reason}");
-            return 2;
-        }
-    }
-    if !send(&[wire::encode_hello(&hello())]) {
-        return 2;
-    }
-    let first = match first_command_line(&mut lines) {
-        Ok(first) => first,
-        Err(code) => return code,
     };
     let mut lines = wire::PrependedLine::new(first, lines);
-    loop {
-        let command = match wire::decode_command(&mut lines) {
-            Ok(Some(command)) => command,
-            // A vanished peer reads as end-of-input: exit cleanly (a
-            // listener will accept its replacement).
-            Ok(None) => return 0,
-            Err(e) => {
-                eprintln!("sweep_worker: {e}");
-                return 2;
+    // Without a heartbeat the wait never times out: `recv_timeout` waits
+    // indefinitely when the deadline cannot be represented.
+    let wait = heartbeat.unwrap_or(Duration::MAX);
+    std::thread::scope(|scope| {
+        let (shards, shard_rx) = mpsc::channel::<ShardSpec>();
+        let (reply_tx, replies) = mpsc::channel();
+        scope.spawn(move || {
+            for spec in shard_rx {
+                let _ = reply_tx.send(wire::encode_reply(&compute_shard(&spec)));
             }
-        };
-        match command {
-            Command::Done => return 0,
-            Command::Shard(spec) => {
-                computing(true);
-                let reply = compute_shard(&spec);
-                computing(false);
-                if !send(&wire::encode_reply(&reply)) {
+        });
+        loop {
+            let spec = match wire::decode_command(&mut lines) {
+                Ok(Some(Command::Shard(spec))) => spec,
+                // A vanished peer reads as end-of-input: exit cleanly (a
+                // listener will accept its replacement).
+                Ok(Some(Command::Done) | None) => return 0,
+                Err(e) => {
+                    eprintln!("sweep_worker: {e}");
                     return 2;
                 }
+            };
+            let _ = shards.send(spec);
+            let mut seq = 0;
+            let reply = loop {
+                match replies.recv_timeout(wait) {
+                    Ok(reply) => break reply,
+                    Err(mpsc::RecvTimeoutError::Timeout)
+                        if send(&[wire::encode_heartbeat(seq)]) =>
+                    {
+                        seq += 1
+                    }
+                    Err(_) => return 2,
+                }
+            };
+            if !send(&reply) {
+                return 2;
             }
         }
-    }
+    })
 }
 
 /// Serve the worker protocol over the given streams until `done` or
@@ -286,7 +212,7 @@ pub fn serve_with_token<R: BufRead, W: Write>(
     let send = |block: &[String]| {
         block.iter().all(|line| writeln!(output, "{line}").is_ok()) && output.flush().is_ok()
     };
-    serve_session(IoLines::new(input), token.as_deref(), send, |_| {}, |_| {})
+    serve_session(IoLines::new(input), token.as_deref(), send, None)
 }
 
 /// Serve the worker protocol on this process's stdin/stdout — the entire
@@ -297,17 +223,15 @@ pub fn run_stdio() -> i32 {
     serve(stdin.lock(), stdout.lock())
 }
 
-/// Write a block of protocol lines atomically (one lock, one flush) so a
-/// concurrent heartbeat can interleave between blocks but never inside
-/// one.
+/// Write a block of protocol lines to a worker's socket, one flush per
+/// block.
 ///
 /// This is the writer-side chaos seam ([`crate::chaos`]): with
 /// `SWEEP_CHAOS` armed, a line may be delayed (a late heartbeat looks
 /// exactly like a slow worker) or the connection severed after a random
 /// prefix of the line — a mid-block, mid-line truncation from the
 /// peer's point of view.
-fn send_block(writer: &Mutex<TcpStream>, lines: &[String]) -> bool {
-    let mut stream = writer.lock().expect("worker writer lock");
+fn send_block(mut stream: &TcpStream, lines: &[String]) -> bool {
     for line in lines {
         match Chaos::global().map(|plan| plan.fate(line.len())) {
             Some(LineFate::Drop { keep_bytes }) => {
@@ -326,68 +250,17 @@ fn send_block(writer: &Mutex<TcpStream>, lines: &[String]) -> bool {
     stream.flush().is_ok()
 }
 
-/// Serve one coordinator connection over TCP with the token from
-/// [`crate::net::TOKEN_ENV`]: the same protocol as [`serve`], plus
-/// periodic heartbeats (cadence from [`crate::net::HEARTBEAT_ENV`])
-/// emitted while a shard is executing so the peer's silence deadline can
-/// tell a slow shard from a dead worker.
-pub fn serve_tcp(stream: TcpStream) -> i32 {
-    serve_tcp_with(stream, token_from_env())
-}
-
-/// [`serve_tcp`] with an explicit token.  Same gate ordering as
-/// [`serve_with_token`]; the gate read is additionally bounded by
-/// a 5-second timeout so a tokenless peer that (correctly) sends
-/// nothing after its handshake is rejected promptly instead of both
-/// sides sitting out their silence budgets.  The socket sets
+/// Serve one coordinator connection over TCP: the protocol of
+/// [`serve_with_token`], with the whole opening due within
+/// [`crate::net::OPENING_TIMEOUT`] of the accept and a heartbeat every
+/// [`HEARTBEAT_INTERVAL`] while a shard computes.  The socket sets
 /// `TCP_NODELAY` ([`crate::net::TcpTransport`] gives the reason).
 pub fn serve_tcp_with(stream: TcpStream, token: Option<String>) -> i32 {
-    let Ok(write_half) = stream.set_nodelay(true).and_then(|()| stream.try_clone()) else {
+    let Ok((lines, writer)) = accept_socket(stream) else {
         return 2;
     };
-    let writer = Arc::new(Mutex::new(write_half));
-    // Heartbeat thread: ticks fast, beats at the configured cadence, and
-    // only while a shard is actually in flight (`active`).
-    let running = Arc::new(AtomicBool::new(true));
-    let active = Arc::new(AtomicBool::new(false));
-    let beat = {
-        let writer = Arc::clone(&writer);
-        let running = Arc::clone(&running);
-        let active = Arc::clone(&active);
-        std::thread::spawn(move || {
-            let interval = heartbeat_interval();
-            let mut seq = 0u64;
-            let mut last = Instant::now() - interval;
-            while running.load(Ordering::SeqCst) {
-                if active.load(Ordering::SeqCst) && last.elapsed() >= interval {
-                    if !send_block(&writer, &[wire::encode_heartbeat(seq)]) {
-                        break;
-                    }
-                    seq += 1;
-                    last = Instant::now();
-                }
-                std::thread::sleep(interval.min(Duration::from_millis(25)));
-            }
-        })
-    };
-    // The gate deadline is set through the write half, but applies to
-    // the shared underlying socket.
-    let gate_timeout = |timeout| {
-        let _ = writer
-            .lock()
-            .expect("worker writer lock")
-            .set_read_timeout(timeout);
-    };
-    let code = serve_session(
-        IoLines::new(BufReader::new(stream)),
-        token.as_deref(),
-        |block: &[String]| send_block(&writer, block),
-        gate_timeout,
-        |on| active.store(on, Ordering::SeqCst),
-    );
-    running.store(false, Ordering::SeqCst);
-    let _ = beat.join();
-    code
+    let send = |block: &[String]| send_block(&writer, block);
+    serve_session(lines, token.as_deref(), send, Some(HEARTBEAT_INTERVAL))
 }
 
 /// Bind `addr` and serve coordinator connections, forever: the body of
@@ -435,7 +308,7 @@ pub fn run_listener(addr: &str, token: Option<String>) -> i32 {
 pub fn run_joiner(addr: &str, token: Option<String>) -> i32 {
     println!("joining {addr}");
     let _ = std::io::stdout().flush();
-    let mut backoff = Backoff::from_env(0x4A01_4E52);
+    let mut backoff = Backoff::standard(0x4A01_4E52);
     loop {
         match TcpStream::connect(addr) {
             Ok(stream) => {

@@ -23,8 +23,8 @@ use obs::HistSummary;
 use proptest::prelude::*;
 use san_api::{Diagnostic, SanStats, SanitizerKind};
 use sweep::wire::{
-    self, AuthGate, Hello, RequestProgress, ServiceEvent, ServiceStats, SliceLines, SweepRequest,
-    WireError, WorkerStats,
+    self, Hello, RequestProgress, ServiceEvent, ServiceStats, SliceLines, SweepRequest, WireError,
+    WorkerStats,
 };
 use vm::ExecStats;
 use workloads::Scale;
@@ -502,32 +502,31 @@ proptest! {
         }
     }
 
-    /// The server-side token gate accepts exactly a matching `auth`
-    /// line and rejects a mismatch or a bare command — with a reason
-    /// that never contains either side's token.
+    /// The token gate, on either side of a connection, accepts exactly a
+    /// matching `auth` line and rejects a mismatch or a bare command —
+    /// with a reason that never contains either side's token.
     #[test]
     fn auth_gate_accepts_only_matching_tokens(token in string_strategy(),
                                               wrong in string_strategy()) {
         let lines = vec![wire::encode_auth(&token)];
         let mut src = SliceLines::new(&lines);
-        let accepted = wire::auth_gate(&mut src, Some(&token)).expect("gate");
-        let clean = matches!(accepted, AuthGate::Accepted { leftover: None });
-        prop_assert!(clean, "matching token not accepted cleanly");
+        let accepted = wire::auth_gate(&mut src, &token);
+        prop_assert!(accepted.is_ok(), "matching token not accepted cleanly");
 
         if wrong != token {
             let mut src = SliceLines::new(&lines);
-            match wire::auth_gate(&mut src, Some(&wrong)).expect("gate") {
+            match wire::auth_gate(&mut src, &wrong) {
                 // The reason is one of two fixed strings — structurally
                 // incapable of echoing either side's token.
-                AuthGate::Rejected { reason } => prop_assert_eq!(reason, "auth token mismatch"),
-                AuthGate::Accepted { .. } => prop_assert!(false, "mismatch accepted"),
+                Err(reason) => prop_assert_eq!(reason, "auth token mismatch"),
+                Ok(()) => prop_assert!(false, "mismatch accepted"),
             }
         }
-        // An open (tokenless) gate swallows the auth line and resumes.
+        // An open (tokenless) side's first-line rule swallows the auth
+        // line and resumes.
         let mut src = SliceLines::new(&lines);
-        let open = wire::auth_gate(&mut src, None).expect("gate");
-        let swallowed = matches!(open, AuthGate::Accepted { leftover: None });
-        prop_assert!(swallowed, "open gate did not swallow the auth line");
+        let open = wire::first_line(&mut src).expect("first line");
+        prop_assert!(open.is_none(), "open side did not swallow the auth line");
     }
 
     /// Wire-v7 `stats` blocks — with live/registered flags, admission
