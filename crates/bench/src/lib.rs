@@ -18,17 +18,18 @@
 use effective_san::{SanitizerKind, Scale};
 
 /// Resolve the workload scale from the `SCALE` environment variable
-/// (`test`, `small` or `ref`; defaults to `small`).
+/// (`test`, `small`, `ref` or `reference`, in any case; unset or empty
+/// means `small`).  An unknown value prints the error and exits with
+/// status 2.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("SCALE")
-        .unwrap_or_default()
-        .to_lowercase()
-        .as_str()
-    {
-        "test" => Scale::Test,
-        "ref" | "reference" => Scale::Reference,
-        _ => Scale::Small,
+    let value = std::env::var("SCALE").unwrap_or_default();
+    if value.is_empty() {
+        return Scale::Small;
     }
+    value.parse().unwrap_or_else(|e| {
+        eprintln!("invalid SCALE value: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Parse explicit backend names (every spelling `SanitizerKind`'s

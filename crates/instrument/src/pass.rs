@@ -12,9 +12,11 @@
 //! * **(g)** every dereference and pointer escape is bounds-checked.
 //!
 //! Only *used* pointers attract instrumentation ("it is the responsibility
-//! of the eventual user of the pointer to check the type"), and simple
-//! redundant-check elimination mirrors the optimizations the prototype
-//! implements (§6).
+//! of the eventual user of the pointer to check the type").  Bounds live
+//! in frame slots of their own, allocated only where a check writes one;
+//! a slot no check has written yet reads as wide bounds, so the pass emits
+//! no initialisation for it.  No check is removed after emission: every
+//! check instruction the pass emits reaches the sanitizer.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -93,14 +95,8 @@ pub fn instrument_function(
     }
     index_map[old_body.len()] = cx.out.len();
 
-    // Preamble: default (wide) bounds for every bounds slot plus the
-    // parameter checks of rule (a).
+    // Preamble: the parameter checks of rule (a).
     let mut preamble = Vec::new();
-    let mut bounds_slots: Vec<_> = cx.bounds_of.values().copied().collect();
-    bounds_slots.sort_unstable();
-    for b in bounds_slots {
-        preamble.push(Instr::WideBounds { dst: b });
-    }
     let params: Vec<(Slot, Type)> = cx
         .func
         .params
@@ -140,10 +136,6 @@ pub fn instrument_function(
     }
 
     func.body = body;
-
-    if config.optimize {
-        remove_redundant_checks(func);
-    }
 }
 
 struct Cx<'a> {
@@ -186,19 +178,21 @@ impl<'a> Cx<'a> {
 
     /// The rule (a)–(d) input-pointer check for `ptr` against static
     /// element type `pointee`, or `None` when the configuration does not
-    /// check inputs.
+    /// check inputs (then no bounds slot is allocated either).
     fn input_check_instr(&mut self, ptr: Slot, pointee: &Type, what: &str) -> Option<Instr> {
-        let dst = self.bounds_slot(ptr);
         match self.config.input_check {
             InputCheck::None => None,
             InputCheck::TypeCheck => Some(Instr::TypeCheck {
-                dst,
+                dst: self.bounds_slot(ptr),
                 ptr,
                 ty_id: self.interner.intern(pointee),
                 ty: pointee.clone(),
                 loc: self.loc(what),
             }),
-            InputCheck::BoundsGet => Some(Instr::BoundsGet { dst, ptr }),
+            InputCheck::BoundsGet => Some(Instr::BoundsGet {
+                dst: self.bounds_slot(ptr),
+                ptr,
+            }),
         }
     }
 
@@ -448,21 +442,15 @@ impl<'a> Cx<'a> {
                     self.emit_input_check(*dst, &ty.clone(), "alloca");
                 }
             }
-            Instr::GlobalAddr { dst, name } => {
+            Instr::GlobalAddr { dst, .. } => {
                 self.out.push(instr.clone());
-                if self.used.contains(dst) {
-                    // The global's element type is not tracked on the
-                    // instruction; a bounds_get is always valid, and a type
-                    // check against char (byte access) is the conservative
-                    // choice that never raises a false alarm.
-                    let _ = name;
-                    match self.config.input_check {
-                        InputCheck::None => {}
-                        InputCheck::TypeCheck | InputCheck::BoundsGet => {
-                            let d = self.bounds_slot(*dst);
-                            self.out.push(Instr::BoundsGet { dst: d, ptr: *dst });
-                        }
-                    }
+                // The global's element type is not tracked on the
+                // instruction, so type-checking configurations emit a
+                // `bounds_get` here too: it is always valid and yields the
+                // global's allocation bounds.
+                if self.used.contains(dst) && self.config.input_check != InputCheck::None {
+                    let d = self.bounds_slot(*dst);
+                    self.out.push(Instr::BoundsGet { dst: d, ptr: *dst });
                 }
             }
 
@@ -610,62 +598,6 @@ fn used_pointer_slots(func: &Function) -> HashSet<Slot> {
         }
     }
     used
-}
-
-/// Remove checks that are trivially redundant: an identical `bounds_check`
-/// repeated within the same straight-line region with no intervening
-/// redefinition of the pointer or bounds slot (the "removing subsumed bounds
-/// checks" optimization of §6).  Removed instructions become `Nop`s so jump
-/// targets stay valid.
-fn remove_redundant_checks(func: &mut Function) {
-    // Straight-line region boundaries: any instruction that is the target
-    // of a jump/branch starts a new region.
-    let mut region_start = vec![false; func.body.len() + 1];
-    for instr in &func.body {
-        match instr {
-            Instr::Jump { target } => region_start[*target] = true,
-            Instr::Branch {
-                then_target,
-                else_target,
-                ..
-            } => {
-                region_start[*then_target] = true;
-                region_start[*else_target] = true;
-            }
-            _ => {}
-        }
-    }
-
-    let mut seen: HashSet<(Slot, Slot, u64, bool)> = HashSet::new();
-    // `region_start` is one entry longer than the body (jumps may target
-    // one-past-the-end), so iterate the body's indices, not the markers.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..func.body.len() {
-        if region_start[i] || func.body[i].is_terminator() {
-            seen.clear();
-        }
-        match &func.body[i] {
-            Instr::BoundsCheck {
-                ptr,
-                bounds,
-                size,
-                escape,
-                ..
-            } => {
-                let key = (*ptr, *bounds, *size, *escape);
-                if !seen.insert(key) {
-                    func.body[i] = Instr::Nop;
-                }
-            }
-            other => {
-                // A write to a slot invalidates remembered checks that
-                // mention it.
-                if let Some(dst) = other.dst() {
-                    seen.retain(|(p, b, _, _)| *p != dst && *b != dst);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -887,26 +819,25 @@ mod tests {
     }
 
     #[test]
-    fn redundant_bounds_checks_are_removed() {
-        let src = "struct P { int x; int y; };
-             int f(struct P *p) { return p->x + p->x; }";
-        let p = minic::compile(src).unwrap();
-        let unopt = instrument_program_with(
-            &p,
-            PassConfig {
-                optimize: false,
-                ..SanitizerKind::EffectiveFull.config()
-            },
-        );
-        let opt = instrument_program(&p, SanitizerKind::EffectiveFull);
-        let f_unopt = unopt.function("f").unwrap();
-        let f_opt = opt.function("f").unwrap();
-        let n_unopt = count(f_unopt, |i| matches!(i, Instr::BoundsCheck { .. }));
-        let n_opt = count(f_opt, |i| matches!(i, Instr::BoundsCheck { .. }));
-        assert!(
-            n_opt <= n_unopt,
-            "optimization must not add checks ({n_opt} vs {n_unopt})"
-        );
+    fn tools_that_track_no_bounds_add_no_slots() {
+        // Access checks read no bounds slot, so the tools that only do
+        // access checks keep the uninstrumented frame size.
+        let p = figure4_program();
+        for kind in [
+            SanitizerKind::AddressSanitizer,
+            SanitizerKind::Memcheck,
+            SanitizerKind::Cets,
+        ] {
+            let out = instrument_program(&p, kind);
+            for (name, func) in &p.functions {
+                let instrumented = out.function(name).unwrap();
+                assert!(instrumented.check_count() > 0, "{kind} left {name} bare");
+                assert_eq!(
+                    instrumented.num_slots, func.num_slots,
+                    "{kind} grew the frame of {name}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -308,10 +308,6 @@ pub enum Instr {
         /// Returned value slot, if any.
         value: Option<Slot>,
     },
-    /// No operation (used by passes to delete instructions in place without
-    /// renumbering jump targets).
-    Nop,
-
     // ----- Instrumentation (inserted by the `instrument` crate) -----
     /// `dst = type_check(ptr, ty[])` — Fig. 3(a)–(d).
     TypeCheck {
@@ -375,12 +371,6 @@ pub enum Instr {
         /// Instrumentation-site label.
         loc: Arc<str>,
     },
-    /// `dst = WIDE_BOUNDS` — default bounds for pointers the pass has no
-    /// information about.
-    WideBounds {
-        /// Destination bounds slot.
-        dst: Slot,
-    },
     /// A per-access check used by baseline sanitizers (AddressSanitizer's
     /// shadow-memory check, CETS's temporal check): validate an access of
     /// `size` bytes at `ptr` against the sanitizer's own meta data, with no
@@ -414,8 +404,7 @@ impl Instr {
             | Instr::TypeCheck { dst, .. }
             | Instr::CastCheck { dst, .. }
             | Instr::BoundsGet { dst, .. }
-            | Instr::BoundsNarrow { dst, .. }
-            | Instr::WideBounds { dst } => Some(*dst),
+            | Instr::BoundsNarrow { dst, .. } => Some(*dst),
             Instr::Call { dst, .. } | Instr::CallBuiltin { dst, .. } => *dst,
             _ => None,
         }
@@ -430,7 +419,6 @@ impl Instr {
                 | Instr::BoundsGet { .. }
                 | Instr::BoundsNarrow { .. }
                 | Instr::BoundsCheck { .. }
-                | Instr::WideBounds { .. }
                 | Instr::AccessCheck { .. }
         )
     }
@@ -478,12 +466,9 @@ impl Function {
         s
     }
 
-    /// Count instructions, excluding `Nop`s.
+    /// Count instructions.
     pub fn instruction_count(&self) -> usize {
-        self.body
-            .iter()
-            .filter(|i| !matches!(i, Instr::Nop))
-            .count()
+        self.body.len()
     }
 
     /// Count instrumentation (check) instructions.
@@ -531,7 +516,7 @@ impl Program {
         self.functions.get(name).map(|f| f.as_ref())
     }
 
-    /// Total instruction count across all functions (excluding `Nop`s).
+    /// Total instruction count across all functions.
     pub fn instruction_count(&self) -> usize {
         self.functions.values().map(|f| f.instruction_count()).sum()
     }
@@ -666,7 +651,7 @@ mod tests {
         };
         assert!(t.is_check());
         assert!(Instr::Return { value: None }.is_terminator());
-        assert_eq!(Instr::Nop.dst(), None);
+        assert_eq!(Instr::Jump { target: 0 }.dst(), None);
     }
 
     #[test]
@@ -759,7 +744,6 @@ mod tests {
                     dst: 0,
                     value: Const::Int(0),
                 },
-                Instr::Nop,
                 Instr::Return { value: None },
             ],
         };

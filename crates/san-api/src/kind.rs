@@ -151,19 +151,16 @@ impl SanitizerKind {
                 narrow_fields: true,
                 bounds_check_accesses: true,
                 bounds_check_escapes: true,
-                optimize: true,
                 ..PassConfig::disabled()
             },
             SanitizerKind::EffectiveBounds => PassConfig {
                 input_check: InputCheck::BoundsGet,
                 bounds_check_accesses: true,
                 bounds_check_escapes: true,
-                optimize: true,
                 ..PassConfig::disabled()
             },
             SanitizerKind::EffectiveType => PassConfig {
                 cast_check_explicit: true,
-                optimize: true,
                 ..PassConfig::disabled()
             },
             SanitizerKind::EffectiveEscapesOff => PassConfig {
@@ -182,22 +179,19 @@ impl SanitizerKind {
                 input_check: InputCheck::BoundsGet,
                 bounds_check_accesses: true,
                 bounds_check_escapes: true,
-                optimize: true,
                 ..PassConfig::disabled()
             },
             SanitizerKind::SoftBound => PassConfig {
                 input_check: InputCheck::BoundsGet,
                 narrow_fields: true,
                 bounds_check_accesses: true,
-                optimize: true,
                 ..PassConfig::disabled()
             },
             SanitizerKind::Mpx => PassConfig {
                 // MPX checks dereferences against allocation bounds but
-                // does not narrow to fields, and its compiler pass performs
-                // none of the §6 redundant-check optimizations — together
-                // with the bound-table spills this is what puts it near the
-                // paper's ~200% reference point despite hardware support.
+                // does not narrow to fields; its bound-table spills are
+                // what put it near the paper's ~200% reference point
+                // despite hardware support.
                 input_check: InputCheck::BoundsGet,
                 bounds_check_accesses: true,
                 ..PassConfig::disabled()
@@ -305,8 +299,6 @@ pub struct PassConfig {
     /// Insert per-access checks with no propagated bounds (AddressSanitizer
     /// / CETS style).
     pub access_check: bool,
-    /// Run the redundant-check optimizations described in §6.
-    pub optimize: bool,
 }
 
 impl PassConfig {
@@ -320,7 +312,6 @@ impl PassConfig {
             bounds_check_accesses: false,
             bounds_check_escapes: false,
             access_check: false,
-            optimize: false,
         }
     }
 
@@ -442,7 +433,6 @@ mod tests {
         assert!(mpx.bounds_check_accesses);
         assert!(!mpx.narrow_fields);
         assert!(!mpx.bounds_check_escapes);
-        assert!(!mpx.optimize, "MPX's pass does not optimize checks");
     }
 
     #[test]

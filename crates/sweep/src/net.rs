@@ -57,10 +57,13 @@ pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
 
 /// A reader thread pumping protocol lines into a channel, so the consumer
 /// can apply per-read deadlines with `recv_timeout` regardless of whether
-/// the underlying stream is a pipe or a socket.
+/// the underlying stream is a pipe or a socket.  The thread stamps each
+/// line with the instant it received it, so a consumer that dequeues late
+/// still sees when the line arrived ([`LinePump::last_arrival`]).
 pub struct LinePump {
-    rx: mpsc::Receiver<Result<Option<String>, WireError>>,
+    rx: mpsc::Receiver<Result<Option<(String, Instant)>, WireError>>,
     finished: bool,
+    last_arrival: Option<Instant>,
 }
 
 impl LinePump {
@@ -95,7 +98,7 @@ impl LinePump {
                             Some(LineFate::DeliverAfter(wait)) => std::thread::sleep(wait),
                             Some(LineFate::Deliver) | None => {}
                         }
-                        if tx.send(Ok(Some(line))).is_err() {
+                        if tx.send(Ok(Some((line, Instant::now())))).is_err() {
                             break;
                         }
                     }
@@ -111,7 +114,14 @@ impl LinePump {
         LinePump {
             rx,
             finished: false,
+            last_arrival: None,
         }
+    }
+
+    /// When the pump thread received the line [`LinePump::recv`] returned
+    /// last (`None` before the first line).
+    pub fn last_arrival(&self) -> Option<Instant> {
+        self.last_arrival
     }
 
     /// The next line; `None` at end of stream, [`WireError::Timeout`] when
@@ -128,7 +138,10 @@ impl LinePump {
             }),
         };
         match received {
-            Ok(Ok(Some(line))) => Ok(Some(line)),
+            Ok(Ok(Some((line, arrived)))) => {
+                self.last_arrival = Some(arrived);
+                Ok(Some(line))
+            }
             Ok(Ok(None)) | Err(None) => {
                 // EOF, or the pump thread is gone: the stream is over.
                 self.finished = true;
@@ -152,6 +165,11 @@ pub trait Transport: Send {
     /// Receive one line within `timeout` (`None` = block); `Ok(None)` at
     /// end of stream.
     fn recv_line(&mut self, timeout: Option<Duration>) -> Result<Option<String>, WireError>;
+    /// When the line [`Transport::recv_line`] returned last arrived, if
+    /// the transport stamps arrivals (`None` otherwise).
+    fn last_arrival(&self) -> Option<Instant> {
+        None
+    }
     /// Fold peer-specific post-mortem detail (a child's exit status, the
     /// peer address) into an error description for the retry log.
     fn describe_death(&mut self, error: &WireError) -> String;
@@ -202,6 +220,10 @@ impl Transport for PipeTransport {
 
     fn recv_line(&mut self, timeout: Option<Duration>) -> Result<Option<String>, WireError> {
         self.pump.recv(timeout)
+    }
+
+    fn last_arrival(&self) -> Option<Instant> {
+        self.pump.last_arrival()
     }
 
     /// EOF on the pipe can be observed a beat before the child becomes
@@ -299,6 +321,10 @@ impl Transport for TcpTransport {
 
     fn recv_line(&mut self, timeout: Option<Duration>) -> Result<Option<String>, WireError> {
         self.pump.recv(timeout)
+    }
+
+    fn last_arrival(&self) -> Option<Instant> {
+        self.pump.last_arrival()
     }
 
     fn describe_death(&mut self, error: &WireError) -> String {
@@ -479,8 +505,10 @@ impl AttemptError {
 /// still swallowed by [`DeadlineLines`], but the gap between consecutive
 /// arrivals is recorded (in microseconds) before the line is dropped —
 /// the raw signal behind the `stats` frame's per-worker heartbeat
-/// summaries.  Purely read-only: attaching a probe never changes which
-/// lines a decoder sees.
+/// summaries.  Arrivals are the transport's stamps
+/// ([`Transport::last_arrival`]), so a reader that dequeues late records
+/// the gaps the peer sent, not back-to-back reads.  Purely read-only:
+/// attaching a probe never changes which lines a decoder sees.
 pub struct HeartbeatProbe<'a> {
     /// Gap histogram the observed arrival gaps are recorded into (µs).
     pub gaps: &'a obs::Histogram,
@@ -541,11 +569,11 @@ impl LineSource for DeadlineLines<'_> {
             match self.transport.recv_line(per_read)? {
                 Some(line) if wire::is_heartbeat(&line) => {
                     if let Some(probe) = self.probe.as_mut() {
-                        let now = Instant::now();
-                        if let Some(last) = probe.last.replace(now) {
+                        let arrived = self.transport.last_arrival().unwrap_or_else(Instant::now);
+                        if let Some(last) = probe.last.replace(arrived) {
                             probe
                                 .gaps
-                                .record(now.duration_since(last).as_micros() as u64);
+                                .record(arrived.duration_since(last).as_micros() as u64);
                         }
                     }
                     continue;
@@ -1071,6 +1099,44 @@ mod tests {
         assert!(
             summary.min >= 1_000,
             "10ms apart → gaps of at least 1ms, got {summary:?}"
+        );
+        writer.join().expect("writer thread");
+    }
+
+    #[test]
+    fn heartbeat_gaps_are_arrival_gaps_for_a_late_reader() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let writer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream.set_nodelay(true).expect("set TCP_NODELAY");
+            for seq in 0..3u64 {
+                writeln!(stream, "{}", wire::encode_heartbeat(seq)).expect("write");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            writeln!(stream, "data-line").expect("write");
+        });
+        let mut transport = TcpTransport::connect(&addr.to_string(), Some(Duration::from_secs(5)))
+            .expect("connect");
+        // Every heartbeat has arrived before the reader first looks, so
+        // it dequeues all three back to back.
+        std::thread::sleep(Duration::from_millis(100));
+        let gaps = obs::Histogram::new();
+        let mut last = None;
+        let mut lines = DeadlineLines::new(&mut transport, None, Some(Duration::from_secs(5)))
+            .with_probe(Some(HeartbeatProbe {
+                gaps: &gaps,
+                last: &mut last,
+            }));
+        assert_eq!(
+            lines.next_line().expect("line").as_deref(),
+            Some("data-line")
+        );
+        let summary = gaps.snapshot().summary();
+        assert_eq!(summary.count, 2, "3 heartbeats → 2 arrival gaps");
+        assert!(
+            summary.min >= 10_000,
+            "sent 20ms apart → arrival gaps of at least 10ms, got {summary:?}"
         );
         writer.join().expect("writer thread");
     }

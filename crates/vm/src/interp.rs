@@ -111,7 +111,9 @@ impl Default for VmConfig {
 pub struct ExecStats {
     /// Instructions executed (excluding check instructions).
     pub instructions: u64,
-    /// Check instructions executed.
+    /// Check instructions executed.  Each is one sanitizer hook call,
+    /// except a check that exhausts the instruction budget: it is counted
+    /// but never reaches its hook.
     pub check_instructions: u64,
     /// Memory loads performed.
     pub loads: u64,
@@ -127,10 +129,9 @@ pub struct ExecStats {
     pub tier_promotions: u64,
     /// Calls dispatched to the fast tier.
     pub fast_calls: u64,
-    /// Always 0: both tiers run every check the program carries
-    /// (redundant checks are removed at instrumentation time).  Kept
-    /// because the sweep wire format's `exec` line and the benchmark's
-    /// `vm.checks_elided` metric read it.
+    /// Always 0: both tiers run every check the program carries, and
+    /// nothing removes checks.  Kept because the sweep wire format's
+    /// `exec` line and the benchmark's `vm.checks_elided` metric read it.
     pub checks_elided: u64,
 }
 
@@ -577,7 +578,6 @@ impl Vm {
             }
             pc += 1;
             match instr {
-                Instr::Nop => {}
                 Instr::Const { dst, value } => {
                     slots[*dst as usize] = match value {
                         Const::Int(v) => Value::Int(*v),
@@ -832,9 +832,6 @@ impl Vm {
                         return Err(VmError::Halted);
                     }
                 }
-                Instr::WideBounds { dst } => {
-                    slots[*dst as usize] = Value::Bounds(Bounds::WIDE);
-                }
             }
         }
     }
@@ -933,9 +930,6 @@ impl Vm {
             let cur = pc;
             pc += 1;
             match body[cur] {
-                FastInstr::Nop => {
-                    tick!();
-                }
                 FastInstr::ConstInt { dst, value } => {
                     tick!();
                     slots[dst as usize] = Value::Int(value);
@@ -1194,10 +1188,6 @@ impl Vm {
                         .access_check(p, size, write, &func.sites[site as usize]);
                     self.prof_check(&func.sites[site as usize], ok);
                     halted!();
-                }
-                FastInstr::WideBounds { dst } => {
-                    tick_check!();
-                    slots[dst as usize] = Value::Bounds(Bounds::WIDE);
                 }
 
                 // ----- superinstructions -----

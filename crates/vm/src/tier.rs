@@ -21,11 +21,10 @@
 //! Translation preserves the slow tier's event sequence (same instruction
 //! counting, same check order, same halt points), so every statistic is
 //! bit-identical between tiers: the fast tier runs every check the slow
-//! tier runs, and the backend's check counters match exactly.  Redundant
-//! checks are removed once, at instrumentation time
-//! (`instrument::pass::remove_redundant_checks`); this module never
-//! decides that a check can be skipped.  The slow tier remains the
-//! semantic oracle (see `tests/tiered_differential.rs`).
+//! tier runs, and the backend's check counters match exactly.  This
+//! module never decides that a check can be skipped, and every check
+//! instruction it dispatches is one sanitizer hook call.  The slow tier
+//! remains the semantic oracle (see `tests/tiered_differential.rs`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -87,8 +86,6 @@ pub struct ArgRange {
 /// side table on the owning [`FastFunction`].
 #[derive(Clone, Copy, Debug)]
 pub enum FastInstr {
-    /// No-op (kept so instruction counts match the slow tier exactly).
-    Nop,
     /// `dst = int constant`
     ConstInt {
         /// Destination slot.
@@ -336,11 +333,6 @@ pub enum FastInstr {
         write: bool,
         /// Site label (index into [`FastFunction::sites`]).
         site: u32,
-    },
-    /// `dst = WIDE`
-    WideBounds {
-        /// Destination bounds slot.
-        dst: Slot,
     },
 
     // ----- superinstructions: fused check + memory-access pairs -----
@@ -607,7 +599,6 @@ impl FastFunction {
         check_type_map: &[TypeId],
     ) -> FastInstr {
         match instr {
-            Instr::Nop => FastInstr::Nop,
             Instr::Const { dst, value } => match value {
                 Const::Int(v) => FastInstr::ConstInt {
                     dst: *dst,
@@ -837,7 +828,6 @@ impl FastFunction {
                 write: *write,
                 site: self.push_site(loc),
             },
-            Instr::WideBounds { dst } => FastInstr::WideBounds { dst: *dst },
         }
     }
 }

@@ -87,6 +87,14 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_slot_reads_as_wide_bounds() {
+        // Frames start out as `Value::default()`, and the instrumentation
+        // emits no initialisation for bounds slots: a bounds slot no check
+        // has written must read as wide bounds.
+        assert_eq!(Value::default().as_bounds(), Bounds::WIDE);
+    }
+
+    #[test]
     fn truthiness() {
         assert!(Value::Int(1).is_truthy());
         assert!(!Value::Int(0).is_truthy());

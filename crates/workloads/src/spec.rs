@@ -52,6 +52,41 @@ impl Scale {
     }
 }
 
+/// Error returned when a string names no [`Scale`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParseScaleError {
+    /// The string that failed to parse.
+    pub name: String,
+}
+
+impl std::fmt::Display for ParseScaleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown scale `{}` (known: test, small, ref, reference)",
+            self.name
+        )
+    }
+}
+
+impl std::error::Error for ParseScaleError {}
+
+impl std::str::FromStr for Scale {
+    type Err = ParseScaleError;
+
+    /// Parse `test`, `small`, `ref` or `reference`, case-insensitively.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "test" => Ok(Scale::Test),
+            "small" => Ok(Scale::Small),
+            "ref" | "reference" => Ok(Scale::Reference),
+            _ => Err(ParseScaleError {
+                name: s.to_string(),
+            }),
+        }
+    }
+}
+
 /// Per-kernel driver functions layered over the kernels.
 const DRIVER_LIST: &str = r#"
 long drive_list(int n) {
@@ -518,6 +553,30 @@ mod tests {
         assert!((total_sloc - 1117.5).abs() < 1.0);
         let total_issues: u32 = all.iter().map(|b| b.paper_issues).sum();
         assert_eq!(total_issues, 124);
+    }
+
+    #[test]
+    fn scale_parses_every_spelling_and_rejects_typos() {
+        for (text, scale) in [
+            ("test", Scale::Test),
+            ("small", Scale::Small),
+            ("ref", Scale::Reference),
+            ("reference", Scale::Reference),
+            ("TEST", Scale::Test),
+            ("Small", Scale::Small),
+            ("REF", Scale::Reference),
+            ("Reference", Scale::Reference),
+        ] {
+            assert_eq!(text.parse::<Scale>(), Ok(scale), "{text}");
+        }
+        for typo in ["large", "refrence", "", " ref"] {
+            let err = typo.parse::<Scale>().expect_err(typo);
+            assert_eq!(err.name, typo);
+            let message = err.to_string();
+            for spelling in ["test", "small", "ref", "reference"] {
+                assert!(message.contains(spelling), "{message}");
+            }
+        }
     }
 
     #[test]

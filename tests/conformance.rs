@@ -180,10 +180,10 @@ const SCENARIOS: [Scenario; 10] = [
     // first `d->a` access checks the pointer, `free(dead)` (with dead ==
     // d on the final call) rebinds the allocation's META to FREE, and the
     // second `d->a` access must re-consult the allocator — skipping it as
-    // "covered by the first check" hides the UAF.  Redundant checks are
-    // removed only at instrumentation time and both VM tiers run every
-    // check that remains; this scenario pins that the second check
-    // survives.  The detect column is temporal-tool territory:
+    // "covered by the first check" hides the UAF.  Nothing removes
+    // checks today and both VM tiers run every check the pass emits; this
+    // scenario pins that the second check survives any future
+    // eliminator.  The detect column is temporal-tool territory:
     // ASan/Memcheck see the freed block, CETS invalidates the identifier.
     // EffectiveSan's bounds for `d` were (legitimately) computed at
     // function entry, before the free — the in-function temporal gap is

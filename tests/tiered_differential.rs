@@ -14,8 +14,9 @@
 //! There is no relaxation: the fast tier runs every check the slow tier
 //! runs, so each backend check counter (`bounds_checks`, `access_checks`,
 //! and the rest of `SanStats`) matches exactly, and `checks_elided` is 0
-//! in both tiers.  Redundant checks are removed once, at instrumentation
-//! time, so both tiers see the same check stream.
+//! in both tiers.  Nothing removes checks, so both tiers see the check
+//! stream the instrumentation emitted, and every check instruction either
+//! tier dispatches is exactly one sanitizer hook call.
 //!
 //! The corpus is deliberately the adversarial end of the repo: all ten
 //! conformance scenarios (which fault, halt and quarantine) across all
@@ -90,6 +91,24 @@ fn run_once(
     }
 }
 
+/// Every dispatched check instruction is exactly one sanitizer hook
+/// call.  Not for budget-limited runs: a run cut off by
+/// `VmError::InstructionLimit` counts the check it stopped on but never
+/// calls that check's hook.
+fn assert_one_hook_per_check(observed: &Observed, context: &str) {
+    let c = &observed.checks;
+    let hooks = c.type_checks
+        + c.cast_checks
+        + c.bounds_gets
+        + c.bounds_narrows
+        + c.bounds_checks
+        + c.access_checks;
+    assert_eq!(
+        observed.exec.check_instructions, hooks,
+        "{context}: check instructions dispatched vs sanitizer hook calls"
+    );
+}
+
 fn assert_tiers_agree(source: &str, kind: SanitizerKind, args: &[Value], abort_after: Option<u64>) {
     let program = minic::compile(source).expect("compile");
     let instrumented = Arc::new(instrument(&program, kind));
@@ -99,6 +118,7 @@ fn assert_tiers_agree(source: &str, kind: SanitizerKind, args: &[Value], abort_a
         fast, slow,
         "fast and slow tier disagree under {kind} (abort_after={abort_after:?})"
     );
+    assert_one_hook_per_check(&slow, &format!("{kind} (abort_after={abort_after:?})"));
 }
 
 /// The conformance scenarios (same sources as `conformance.rs`), chosen
@@ -273,6 +293,7 @@ fn spec_workloads_agree_on_the_check_heavy_backends() {
             let fast = run_once(&instrumented, kind, "bench_main", &args, None, true);
             let slow = run_once(&instrumented, kind, "bench_main", &args, None, false);
             assert_eq!(fast, slow, "{name} under {kind}: tiers disagree");
+            assert_one_hook_per_check(&slow, &format!("{name} under {kind}"));
         }
     }
 }
