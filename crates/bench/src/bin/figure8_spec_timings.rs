@@ -4,8 +4,8 @@
 //! By default the three EffectiveSan variants are compared (the figure's
 //! shape).  Pass backend names — or set the `SAN_BACKENDS` environment
 //! variable — to time a different set, e.g.
-//! `figure8_spec_timings EffectiveSan asan SoftBound` (any spelling the
-//! `san-api` registry accepts); the uninstrumented baseline is always run
+//! `figure8_spec_timings EffectiveSan asan SoftBound` (any spelling
+//! `SanitizerKind` parses); the uninstrumented baseline is always run
 //! as the reference.  `SAN_PARALLEL=0` disables the per-backend threads.
 
 use effective_san::{sanitizers_with_baseline, spec_experiment, Parallelism, SanitizerKind};

@@ -1,12 +1,12 @@
-//! Hot-site / hot-function profile tables from the VM's tier profiler.
+//! Hot-site / hot-function profile tables from the VM's site profiler.
 //!
 //! Runs the selected benchmarks under the selected backends with
 //! [`RunConfig::profile`] enabled and renders the merged profile: the
-//! top-N check sites with per-site hit/miss counts, the top-N functions
-//! with slow/fast tier residency, and the tier promotion/OSR event count
-//! — which check sites and functions a run spends its time in.  Profiling
-//! is observational, but its sampling costs a few percent, so wall-clock
-//! timing is left to `perfbench/`.
+//! top-N check sites with per-site hit/miss counts and the top-N
+//! functions with their instruction and call counts — which check sites
+//! and functions a run spends its time in.  Profiling is observational,
+//! but its sampling costs a few percent, so wall-clock timing is left to
+//! `perfbench/`.
 //!
 //! Usage: `table_profile [--json] [--top N] [--benchmarks a,b,c] [backend...]`
 //!
@@ -18,7 +18,7 @@
 //! Backend-name arguments select which backends run (default:
 //! EffectiveSan-full); `SCALE` selects the workload scale as in the other
 //! bins.  With `--json` the full merged profile (every site, every
-//! function, every event) is emitted as one JSON object.
+//! function) is emitted as one `effective-san-profile/3` JSON object.
 
 use effective_san::obs::ProfileReport;
 use effective_san::workloads::SpecBenchmark;
@@ -85,7 +85,7 @@ fn main() {
 
     if json {
         println!(
-            "{{\"schema\":\"effective-san-profile/2\",\"scale\":\"{scale:?}\",\"profile\":{}}}",
+            "{{\"schema\":\"effective-san-profile/3\",\"scale\":\"{scale:?}\",\"profile\":{}}}",
             merged.to_json()
         );
         return;
@@ -93,15 +93,14 @@ fn main() {
 
     let backend_names: Vec<&str> = backends.iter().map(|b| b.name()).collect();
     println!(
-        "site/tier profile (scale {scale:?}, backends {}, top {top_n})\n",
+        "site profile (scale {scale:?}, backends {}, top {top_n})\n",
         backend_names.join(",")
     );
     print!("{}", merged.render_table(top_n));
     println!(
-        "\n{} check sites, {} functions, {} tier events",
+        "\n{} check sites, {} functions",
         merged.sites.len(),
-        merged.funcs.len(),
-        merged.events.len()
+        merged.funcs.len()
     );
 }
 

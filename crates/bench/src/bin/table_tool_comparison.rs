@@ -4,8 +4,8 @@
 //! Pass backend names — or set the `SAN_BACKENDS` environment variable —
 //! to restrict the comparison, e.g.
 //! `table_tool_comparison EffectiveSan asan LowFat mpx` (any spelling the
-//! `san-api` registry accepts).  With neither, every registered backend is
-//! compared.  Each benchmark compiles once and its backends run on scoped
+//! `SanitizerKind` parses).  With neither, every backend in
+//! `SanitizerKind::ALL` is compared.  Each benchmark compiles once and its backends run on scoped
 //! threads; `SAN_PARALLEL=0` falls back to a sequential sweep.
 
 use effective_san::{Parallelism, SanitizerKind};

@@ -33,7 +33,7 @@ pub fn scale_from_env() -> Scale {
 }
 
 /// Parse explicit backend names (every spelling `SanitizerKind`'s
-/// `FromStr` accepts: registry names, `asan`, `full`, `bounds`,
+/// `FromStr` accepts: canonical names, `asan`, `full`, `bounds`,
 /// `memcheck`, `mpx`, `escapes-off`, …).  On an unknown name, prints the
 /// error (which lists the registered backends) and exits with status 2;
 /// a duplicated backend — even under two spellings — is likewise rejected

@@ -24,8 +24,8 @@
 //! * re-exports of the underlying crates (`effective-types`, `lowfat`,
 //!   `effective-runtime`, `san-api`, `minic`, `instrument`, `vm`,
 //!   `baselines`, `workloads`) for direct use — in particular the
-//!   [`san_api::Sanitizer`] backend trait and its registry, through which
-//!   every run constructs its sanitizer by kind or by name.
+//!   [`san_api::Sanitizer`] backend trait and [`san_api::build`], through
+//!   which every run constructs its sanitizer by kind.
 //!
 //! ## Quick start
 //!

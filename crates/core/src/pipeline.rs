@@ -34,7 +34,7 @@ pub struct RunConfig {
     pub max_instructions: u64,
     /// Cost model for the deterministic time estimate.
     pub cost_model: CostModel,
-    /// Collect the VM's site/tier profile (see [`run_program_profiled`]).
+    /// Collect the VM's site/function profile (see [`run_program_profiled`]).
     /// Off by default; observational only.
     pub profile: bool,
 }
@@ -144,10 +144,10 @@ pub fn run_program(program: &Program, entry: &str, args: &[i64], config: &RunCon
     run_program_profiled(program, entry, args, config).0
 }
 
-/// [`run_program`], additionally returning the VM's site/tier profile when
-/// [`RunConfig::profile`] is set (`None` otherwise).  Profiling is
+/// [`run_program`], additionally returning the VM's site/function profile
+/// when [`RunConfig::profile`] is set (`None` otherwise).  Profiling is
 /// observational: the returned [`RunReport`] is bit-identical either way
-/// (the tiered differential suite pins this).
+/// (`tests/observability.rs` pins this).
 pub fn run_program_profiled(
     program: &Program,
     entry: &str,

@@ -12,7 +12,7 @@
 //!   for the sweep/daemon layer).  When the variable is unset the
 //!   tracer costs one relaxed load per *would-be* event.
 //! * [`profile`] — plain-data site/function profile reports produced by
-//!   the VM's opt-in tier profiler and rendered by the `table_profile`
+//!   the VM's opt-in site profiler and rendered by the `table_profile`
 //!   bench binary.
 
 pub mod metrics;
@@ -20,7 +20,7 @@ pub mod profile;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, HistSummary, Histogram, HistogramSnapshot};
-pub use profile::{FuncCounts, ProfileReport, SiteCounts, TierEvent};
+pub use profile::{FuncCounts, ProfileReport, SiteCounts};
 pub use trace::{san_tracer, sweep_tracer, TraceValue, Tracer};
 
 /// Escape `s` for inclusion in a JSON string literal.

@@ -1,5 +1,5 @@
-//! Plain-data profile reports: per-check-site outcome counts,
-//! per-function tier residency, and tier-transition events.
+//! Plain-data profile reports: per-check-site outcome counts and
+//! per-function instruction and call counts.
 //!
 //! The VM's opt-in profiler (see `vm::VmConfig::profile`) fills these
 //! in; the `table_profile` bench binary merges and renders them.
@@ -36,51 +36,21 @@ impl SiteCounts {
     }
 }
 
-/// Tier residency for one function.
+/// Work done by one function.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FuncCounts {
-    /// Instructions retired in the slow tier.
-    pub slow_instructions: u64,
-    /// Instructions retired in the fast tier.
-    pub fast_instructions: u64,
-    /// Activations dispatched to the slow tier.
-    pub slow_calls: u64,
-    /// Activations dispatched to the fast tier.
-    pub fast_calls: u64,
-    /// Times the function was translated to the fast tier.
-    pub promotions: u64,
-    /// On-stack replacements into the fast tier mid-activation.
-    pub osr_entries: u64,
+    /// Instructions retired (check instructions included).
+    pub instructions: u64,
+    /// Activations dispatched.
+    pub calls: u64,
 }
 
 impl FuncCounts {
-    /// Total instructions across both tiers.
-    pub fn total_instructions(&self) -> u64 {
-        self.slow_instructions + self.fast_instructions
-    }
-
     /// Fold `other` into `self`.
     pub fn merge(&mut self, other: &FuncCounts) {
-        self.slow_instructions += other.slow_instructions;
-        self.fast_instructions += other.fast_instructions;
-        self.slow_calls += other.slow_calls;
-        self.fast_calls += other.fast_calls;
-        self.promotions += other.promotions;
-        self.osr_entries += other.osr_entries;
+        self.instructions += other.instructions;
+        self.calls += other.calls;
     }
-}
-
-/// One tier-transition event, in program order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TierEvent {
-    /// Function name.
-    pub func: String,
-    /// Why the transition happened: `"promoted-after-calls"` or
-    /// `"osr-after-backjumps"`.
-    pub reason: String,
-    /// The threshold value that triggered it (call count or backjump
-    /// count).
-    pub detail: u64,
 }
 
 /// A complete profile of one or more runs.
@@ -88,11 +58,8 @@ pub struct TierEvent {
 pub struct ProfileReport {
     /// Per-check-site outcome counts, keyed by site label.
     pub sites: Vec<(String, SiteCounts)>,
-    /// Per-function tier residency, keyed by function name.
+    /// Per-function counts, keyed by function name.
     pub funcs: Vec<(String, FuncCounts)>,
-    /// Tier-transition events in the order they happened (concatenated
-    /// across merged runs).
-    pub events: Vec<TierEvent>,
 }
 
 impl ProfileReport {
@@ -108,7 +75,6 @@ impl ProfileReport {
             funcs.entry(name.clone()).or_default().merge(counts);
         }
         self.funcs = funcs.into_iter().collect();
-        self.events.extend(other.events.iter().cloned());
     }
 
     /// The `n` hottest check sites by total dynamic occurrences
@@ -125,8 +91,8 @@ impl ProfileReport {
     pub fn hot_funcs(&self, n: usize) -> Vec<(String, FuncCounts)> {
         let mut funcs = self.funcs.clone();
         funcs.sort_by(|a, b| {
-            b.1.total_instructions()
-                .cmp(&a.1.total_instructions())
+            b.1.instructions
+                .cmp(&a.1.instructions)
                 .then_with(|| a.0.cmp(&b.0))
         });
         funcs.truncate(n);
@@ -136,7 +102,7 @@ impl ProfileReport {
     /// Render the top-`n` hot-site / hot-function tables as text.
     pub fn render_table(&self, n: usize) -> String {
         let mut out = String::new();
-        let rule = "-".repeat(86);
+        let rule = "-".repeat(60);
         out.push_str(&format!(
             "{:<38} {:>10} {:>10}\n{rule}\n",
             "check site", "hits", "misses"
@@ -145,19 +111,13 @@ impl ProfileReport {
             out.push_str(&format!("{:<38} {:>10} {:>10}\n", label, c.hits, c.misses));
         }
         out.push_str(&format!(
-            "\n{:<24} {:>12} {:>12} {:>8} {:>8} {:>6} {:>6}\n{rule}\n",
-            "function", "slow instrs", "fast instrs", "slow#", "fast#", "promo", "osr"
+            "\n{:<38} {:>10} {:>10}\n{rule}\n",
+            "function", "instrs", "calls"
         ));
         for (name, c) in self.hot_funcs(n) {
             out.push_str(&format!(
-                "{:<24} {:>12} {:>12} {:>8} {:>8} {:>6} {:>6}\n",
-                name,
-                c.slow_instructions,
-                c.fast_instructions,
-                c.slow_calls,
-                c.fast_calls,
-                c.promotions,
-                c.osr_entries
+                "{:<38} {:>10} {:>10}\n",
+                name, c.instructions, c.calls
             ));
         }
         out
@@ -183,27 +143,10 @@ impl ProfileReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"func\":\"{}\",\"slow_instructions\":{},\"fast_instructions\":{},\
-                 \"slow_calls\":{},\"fast_calls\":{},\"promotions\":{},\"osr_entries\":{}}}",
+                "{{\"func\":\"{}\",\"instructions\":{},\"calls\":{}}}",
                 json_escape(name),
-                c.slow_instructions,
-                c.fast_instructions,
-                c.slow_calls,
-                c.fast_calls,
-                c.promotions,
-                c.osr_entries
-            ));
-        }
-        out.push_str("],\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"func\":\"{}\",\"reason\":\"{}\",\"detail\":{}}}",
-                json_escape(&e.func),
-                json_escape(&e.reason),
-                e.detail
+                c.instructions,
+                c.calls
             ));
         }
         out.push_str("]}");
@@ -226,33 +169,32 @@ mod tests {
             funcs: vec![(
                 "main".into(),
                 FuncCounts {
-                    slow_instructions: 10,
-                    ..Default::default()
+                    instructions: 10,
+                    calls: 1,
                 },
             )],
-            events: vec![],
         };
         let b = ProfileReport {
             sites: vec![("a.c:1".into(), site(1, 1)), ("x.c:2".into(), site(2, 0))],
             funcs: vec![(
                 "main".into(),
                 FuncCounts {
-                    fast_instructions: 7,
-                    ..Default::default()
+                    instructions: 7,
+                    calls: 2,
                 },
             )],
-            events: vec![TierEvent {
-                func: "main".into(),
-                reason: "promoted-after-calls".into(),
-                detail: 2,
-            }],
         };
         a.merge(&b);
         assert_eq!(a.sites.len(), 2);
         assert_eq!(a.sites[0].0, "a.c:1");
         assert_eq!(a.sites[1].1, site(7, 0));
-        assert_eq!(a.funcs[0].1.total_instructions(), 17);
-        assert_eq!(a.events.len(), 1);
+        assert_eq!(
+            a.funcs[0].1,
+            FuncCounts {
+                instructions: 17,
+                calls: 3,
+            }
+        );
     }
 
     #[test]
@@ -264,7 +206,6 @@ mod tests {
                 ("c".into(), site(1, 0)),
             ],
             funcs: vec![],
-            events: vec![],
         };
         let hot = report.hot_sites(2);
         assert_eq!(hot.len(), 2);
@@ -277,7 +218,6 @@ mod tests {
         let report = ProfileReport {
             sites: vec![("w.c:9".into(), site(3, 1))],
             funcs: vec![],
-            events: vec![],
         };
         let json = report.to_json();
         assert!(json.contains("\"site\":\"w.c:9\""), "{json}");

@@ -4,7 +4,7 @@
 //! variable naming the sink file:
 //!
 //! * [`san_tracer`] — `SAN_TRACE=path`: VM/sanitizer-layer events
-//!   (tier promotions, OSR entries).
+//!   (one `tier_promote` per function translated to the fast tier).
 //! * [`sweep_tracer`] — `SWEEP_TRACE=path`: sweep/daemon-layer events
 //!   (client connects, request accept/cancel, shard requeues, steals).
 //!

@@ -5,9 +5,9 @@
 //! every tool as a configuration of the same generic instrumentation pass
 //! (`instrument::pass`), so that all tools can be run on identical
 //! workloads and the capability matrix / overhead comparison can be
-//! regenerated.  [`SanitizerKind`] is also the key of the backend registry
-//! ([`crate::registry()`]): it parses from and renders to a stable name, so
-//! pipelines, bench binaries and workloads can select backends by string.
+//! regenerated.  [`SanitizerKind`] also selects the backend [`crate::build`]
+//! constructs: it parses from and renders to a stable name, so pipelines,
+//! bench binaries and workloads can select backends by string.
 
 use std::str::FromStr;
 
@@ -79,7 +79,7 @@ impl SanitizerKind {
     ];
 
     /// Short display name matching the paper's tables.  This is the
-    /// canonical registry key: `name().parse::<SanitizerKind>()` round-trips.
+    /// canonical name: `name().parse::<SanitizerKind>()` round-trips.
     pub fn name(self) -> &'static str {
         match self {
             SanitizerKind::None => "uninstrumented",

@@ -13,16 +13,16 @@
 //!   per-access checks, reporting) every backend implements;
 //! * [`SanStats`] / [`Diagnostic`] — unified counters and structured
 //!   findings, comparable across tools;
-//! * [`SanitizerKind`] — the registry key, with `FromStr`/`Display` so
-//!   backends are selectable by name from CLIs and configs;
-//! * [`registry()`]/[`build()`]/[`build_by_name`] — the string-keyed backend
-//!   registry producing `Box<dyn Sanitizer>`;
+//! * [`SanitizerKind`] — one kind per backend, listed in
+//!   [`SanitizerKind::ALL`], with `FromStr`/`Display` so backends are
+//!   selectable by name from CLIs and configs;
+//! * [`build()`] — constructs a kind's backend as a `Box<dyn Sanitizer>`;
 //! * [`PassConfig`] — the per-tool instrumentation configuration consumed
 //!   by the `instrument` crate.
 //!
 //! The VM dispatches every check instruction through a single
 //! `Box<dyn Sanitizer>`; adding a new tool is one `Sanitizer` impl plus a
-//! registry entry, with no interpreter changes.
+//! `SanitizerKind` variant, with no interpreter changes.
 //!
 //! ## Example
 //!
@@ -34,8 +34,8 @@
 //! use san_api::SanitizerKind;
 //!
 //! let types = Arc::new(TypeRegistry::new());
-//! let mut backend =
-//!     san_api::build_by_name("EffectiveSan", types, RuntimeConfig::default()).unwrap();
+//! let kind: SanitizerKind = "EffectiveSan".parse().unwrap();
+//! let mut backend = san_api::build(kind, types, RuntimeConfig::default());
 //! assert_eq!(backend.kind(), SanitizerKind::EffectiveFull);
 //!
 //! let loc: Arc<str> = Arc::from("example");
@@ -63,4 +63,4 @@ pub use backend::{SanStats, Sanitizer};
 pub use backends::{BaselineBackend, EffectiveBackend};
 pub use diagnostic::Diagnostic;
 pub use kind::{InputCheck, ParseSanitizerKindError, PassConfig, SanitizerKind};
-pub use registry::{build, build_by_name, registry, BackendEntry};
+pub use registry::build;

@@ -1,13 +1,13 @@
-//! The string-keyed backend registry.
+//! Backend construction.
 //!
 //! Every sanitizer the reproduction models — the four EffectiveSan
 //! variants (full / bounds / type / escapes-off), the uninstrumented
 //! baseline, and the eight comparison tools (ASan, Memcheck, LowFat,
-//! SoftBound, MPX, TypeSan, HexType, CETS) — is registered here under its
-//! stable [`SanitizerKind::name`].
-//! Pipelines, bench binaries and workloads construct backends by kind or
-//! by name instead of hard-wiring runtime types, so adding a backend means
-//! adding one registry entry (plus its [`Sanitizer`] impl).
+//! SoftBound, MPX, TypeSan, HexType, CETS) — is one [`SanitizerKind`] in
+//! [`SanitizerKind::ALL`], and [`build`] constructs its backend.
+//! Pipelines, bench binaries and workloads select backends by kind (or by
+//! name, through `SanitizerKind`'s `FromStr`) instead of hard-wiring
+//! runtime types.
 
 use std::sync::Arc;
 
@@ -16,38 +16,7 @@ use effective_types::TypeRegistry;
 
 use crate::backend::Sanitizer;
 use crate::backends::{BaselineBackend, EffectiveBackend};
-use crate::kind::{ParseSanitizerKindError, SanitizerKind};
-
-/// One registered backend: a kind plus its constructor.
-#[derive(Clone, Copy, Debug)]
-pub struct BackendEntry {
-    kind: SanitizerKind,
-}
-
-impl BackendEntry {
-    /// The backend's kind (the registry key).
-    pub fn kind(&self) -> SanitizerKind {
-        self.kind
-    }
-
-    /// The backend's stable name (parses back via `FromStr`).
-    pub fn name(&self) -> &'static str {
-        self.kind.name()
-    }
-
-    /// Construct the backend over the given type registry.
-    pub fn build(&self, types: Arc<TypeRegistry>, config: RuntimeConfig) -> Box<dyn Sanitizer> {
-        build(self.kind, types, config)
-    }
-}
-
-/// Every registered backend, in report-table order.
-pub fn registry() -> Vec<BackendEntry> {
-    SanitizerKind::ALL
-        .into_iter()
-        .map(|kind| BackendEntry { kind })
-        .collect()
-}
+use crate::kind::SanitizerKind;
 
 /// Construct the backend for `kind` over the given type registry.
 pub fn build(
@@ -62,17 +31,6 @@ pub fn build(
     }
 }
 
-/// Construct a backend by name (see [`SanitizerKind`]'s `FromStr` for the
-/// accepted spellings).
-pub fn build_by_name(
-    name: &str,
-    types: Arc<TypeRegistry>,
-    config: RuntimeConfig,
-) -> Result<Box<dyn Sanitizer>, ParseSanitizerKindError> {
-    let kind: SanitizerKind = name.parse()?;
-    Ok(build(kind, types, config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,35 +40,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_every_kind_exactly_once() {
-        let entries = registry();
-        assert_eq!(entries.len(), SanitizerKind::ALL.len());
-        for (entry, kind) in entries.iter().zip(SanitizerKind::ALL) {
-            assert_eq!(entry.kind(), kind);
-            assert_eq!(entry.name(), kind.name());
-        }
-    }
-
-    #[test]
     fn every_entry_builds_a_backend_of_its_kind() {
-        for entry in registry() {
-            let backend = entry.build(types(), RuntimeConfig::default());
-            assert_eq!(backend.kind(), entry.kind());
+        for kind in SanitizerKind::ALL {
+            let backend = build(kind, types(), RuntimeConfig::default());
+            assert_eq!(backend.kind(), kind);
             assert!(!backend.halted());
             assert_eq!(backend.stats().total_checks(), 0);
         }
-    }
-
-    #[test]
-    fn build_by_name_accepts_canonical_names_and_aliases() {
-        let backend = build_by_name("EffectiveSan", types(), RuntimeConfig::default()).unwrap();
-        assert_eq!(backend.kind(), SanitizerKind::EffectiveFull);
-        let backend = build_by_name("asan", types(), RuntimeConfig::default()).unwrap();
-        assert_eq!(backend.kind(), SanitizerKind::AddressSanitizer);
-        let backend = build_by_name("valgrind", types(), RuntimeConfig::default()).unwrap();
-        assert_eq!(backend.kind(), SanitizerKind::Memcheck);
-        let backend = build_by_name("mpx", types(), RuntimeConfig::default()).unwrap();
-        assert_eq!(backend.kind(), SanitizerKind::Mpx);
-        assert!(build_by_name("dataflowsan", types(), RuntimeConfig::default()).is_err());
     }
 }

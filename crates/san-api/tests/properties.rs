@@ -1,10 +1,11 @@
 //! Property tests for the backend-uniform bounds contract: for **every**
-//! backend in the registry — all 13 of them, including the Memcheck, MPX
-//! and EffectiveSan-escapes-off additions — `bounds_narrow` never widens
-//! bounds, and bounds narrowed to in-allocation field ranges stay inside
-//! the allocation (paper Fig. 3(e): narrowing is interval intersection).
-//! The registry name round-trip (`Display` → `FromStr`) is property-tested
-//! over the same set, so by-name backend selection covers every kind.
+//! backend in `SanitizerKind::ALL` — all 13 of them, including the
+//! Memcheck, MPX and EffectiveSan-escapes-off additions — `bounds_narrow`
+//! never widens bounds, and bounds narrowed to in-allocation field ranges
+//! stay inside the allocation (paper Fig. 3(e): narrowing is interval
+//! intersection).  The name round-trip (`Display` → `FromStr`) is
+//! property-tested over the same set, so by-name backend selection covers
+//! every kind.
 
 use std::sync::Arc;
 
@@ -12,26 +13,26 @@ use effective_runtime::{Bounds, RuntimeConfig};
 use effective_types::{Type, TypeRegistry};
 use lowfat::AllocKind;
 use proptest::prelude::*;
-use san_api::{registry, SanitizerKind};
+use san_api::SanitizerKind;
 
 fn types() -> Arc<TypeRegistry> {
     Arc::new(TypeRegistry::new())
 }
 
-/// The registry-driven properties below iterate `registry()`; this pins
-/// down that the iteration really includes the three backends added on top
-/// of the original ten, so their bounds behaviour cannot silently drop out
-/// of the property coverage.
+/// The properties below iterate `SanitizerKind::ALL`; this pins down that
+/// the iteration really includes the three backends added on top of the
+/// original ten, so their bounds behaviour cannot silently drop out of the
+/// property coverage.
 #[test]
 fn property_coverage_includes_the_three_new_backends() {
-    let kinds: Vec<SanitizerKind> = registry().iter().map(|e| e.kind()).collect();
+    let kinds = SanitizerKind::ALL;
     assert_eq!(kinds.len(), 13);
     for kind in [
         SanitizerKind::Memcheck,
         SanitizerKind::Mpx,
         SanitizerKind::EffectiveEscapesOff,
     ] {
-        assert!(kinds.contains(&kind), "{kind} missing from the registry");
+        assert!(kinds.contains(&kind), "{kind} missing from ALL");
     }
 }
 
@@ -43,7 +44,7 @@ fn within(inner: Bounds, outer: Bounds) -> bool {
 
 proptest! {
     /// `bounds_narrow(b, field)` never yields wider bounds than `b`,
-    /// for every registered backend and arbitrary field rectangles
+    /// for every backend and arbitrary field rectangles
     /// (including ones far outside the allocation).
     #[test]
     fn narrowing_never_widens(
@@ -51,8 +52,8 @@ proptest! {
         field_off in 0i64..8192,
         field_width in 0u64..8192,
     ) {
-        for entry in registry() {
-            let mut backend = entry.build(types(), RuntimeConfig::default());
+        for kind in SanitizerKind::ALL {
+            let mut backend = san_api::build(kind, types(), RuntimeConfig::default());
             let p = backend.on_alloc(size, &Type::int(), AllocKind::Heap);
             let bounds = backend.bounds_get(p);
             let field = Bounds::new(
@@ -63,12 +64,12 @@ proptest! {
             prop_assert!(
                 narrowed.width() <= bounds.width(),
                 "{}: narrow widened {bounds:?} to {narrowed:?}",
-                entry.name()
+                kind.name()
             );
             prop_assert!(
                 within(narrowed, bounds),
                 "{}: narrowed {narrowed:?} escapes {bounds:?}",
-                entry.name()
+                kind.name()
             );
         }
     }
@@ -83,8 +84,8 @@ proptest! {
         width_frac in 1u64..100,
         sub_frac in 0u64..100,
     ) {
-        for entry in registry() {
-            let mut backend = entry.build(types(), RuntimeConfig::default());
+        for kind in SanitizerKind::ALL {
+            let mut backend = san_api::build(kind, types(), RuntimeConfig::default());
             let p = backend.on_alloc(size, &Type::int(), AllocKind::Heap);
             let alloc = Bounds::from_base_size(p, size);
             let bounds = backend.bounds_get(p);
@@ -97,9 +98,9 @@ proptest! {
             prop_assert!(
                 within(narrowed, alloc),
                 "{}: narrowed {narrowed:?} leaves allocation {alloc:?}",
-                entry.name()
+                kind.name()
             );
-            prop_assert!(within(narrowed, bounds), "{}: widened", entry.name());
+            prop_assert!(within(narrowed, bounds), "{}: widened", kind.name());
 
             // Narrow again to a nested sub-range: still monotone.
             let sub_off = off + (width * sub_frac / 100);
@@ -108,14 +109,14 @@ proptest! {
             prop_assert!(
                 within(renarrowed, narrowed),
                 "{}: re-narrowing widened {narrowed:?} to {renarrowed:?}",
-                entry.name()
+                kind.name()
             );
-            prop_assert!(within(renarrowed, alloc), "{}: escaped allocation", entry.name());
+            prop_assert!(within(renarrowed, alloc), "{}: escaped allocation", kind.name());
         }
     }
 
-    /// Every registered backend's display name parses back to the same
-    /// kind regardless of casing — the registry-key contract that
+    /// Every backend's display name parses back to the same kind
+    /// regardless of casing — the name contract that
     /// `SAN_BACKENDS` and the bench CLIs rely on, covering all 13 kinds
     /// (including Memcheck, MPX and the escapes-off ablation).
     #[test]
@@ -138,8 +139,8 @@ proptest! {
     /// excepted), so every later narrow stays inside it too.
     #[test]
     fn bounds_get_is_allocation_bounded(size in 1u64..4096) {
-        for entry in registry() {
-            let mut backend = entry.build(types(), RuntimeConfig::default());
+        for kind in SanitizerKind::ALL {
+            let mut backend = san_api::build(kind, types(), RuntimeConfig::default());
             let p = backend.on_alloc(size, &Type::int(), AllocKind::Heap);
             let bounds = backend.bounds_get(p);
             if !bounds.is_wide() {
@@ -147,7 +148,7 @@ proptest! {
                 prop_assert!(
                     within(bounds, alloc),
                     "{}: bounds_get {bounds:?} exceeds allocation {alloc:?}",
-                    entry.name()
+                    kind.name()
                 );
             }
         }

@@ -16,7 +16,9 @@
 //! peer's handshake.  The accepting half (a worker session, the daemon's
 //! client port) does the same, checks the peer's token with
 //! [`wire::auth_gate`] and reads the peer's first line under
-//! [`wire::first_line`], all within one [`OPENING_TIMEOUT`].
+//! [`wire::first_line`], all within one [`OPENING_TIMEOUT`].  The daemon's
+//! registration port runs the dialling half on an accepted socket, under
+//! the same deadline from the accept.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -44,8 +46,9 @@ pub fn token_from_env() -> Option<String> {
 }
 
 /// The deadline on an accepted connection's whole opening, from the
-/// accept: through a worker's `hello`, or through the request block on
-/// the daemon's client port.  A compliant peer sends its opening in one
+/// accept: through a worker's `hello` (on a worker session or the
+/// daemon's registration port), or through the request block on the
+/// daemon's client port.  A compliant peer sends its opening in one
 /// burst; a peer that never writes, trickles bytes, or (tokenless) faces
 /// a token-bearing worker is closed when it expires, so it cannot hold a
 /// thread, or `--shutdown`, hostage.
@@ -461,17 +464,18 @@ pub(crate) fn accept_opening<S: LineSource>(
 /// The dialling half of a connection's opening, shared by
 /// [`WorkerConn::establish`] and the clients: lead with the handshake
 /// and, holding a `token`, this side's `auth` frame, then require the
-/// peer's handshake within `wait`.
+/// peer's handshake within `wait` and by `deadline`.
 fn dial_opening(
     transport: &mut dyn Transport,
     token: Option<&str>,
+    deadline: Option<Instant>,
     wait: Option<Duration>,
 ) -> Result<(), WireError> {
     transport.send_line(wire::HANDSHAKE)?;
     if let Some(token) = token {
         transport.send_line(&wire::encode_auth(token))?;
     }
-    read_handshake(&mut DeadlineLines::new(transport, None, wait))
+    read_handshake(&mut DeadlineLines::new(transport, deadline, wait))
 }
 
 /// Why one attempt at running a shard on a worker failed — the retry
@@ -608,14 +612,27 @@ impl WorkerConn {
     /// peer cannot hang the caller.  Error strings never contain the
     /// token.
     pub fn establish(
-        mut transport: Box<dyn Transport>,
+        transport: Box<dyn Transport>,
         silence: Option<Duration>,
         token: Option<&str>,
     ) -> Result<WorkerConn, String> {
-        let opened = dial_opening(transport.as_mut(), token, silence)
+        WorkerConn::establish_by(transport, None, silence, token)
+    }
+
+    /// [`WorkerConn::establish`], with the whole opening also due by
+    /// `deadline`: the daemon's registration port passes
+    /// [`OPENING_TIMEOUT`] from the accept, so a peer dialling in that
+    /// idles or trickles is closed like any other accepted one.
+    pub(crate) fn establish_by(
+        mut transport: Box<dyn Transport>,
+        deadline: Option<Instant>,
+        silence: Option<Duration>,
+        token: Option<&str>,
+    ) -> Result<WorkerConn, String> {
+        let opened = dial_opening(transport.as_mut(), token, deadline, silence)
             .map_err(OpeningError::from)
             .and_then(|()| {
-                let mut lines = DeadlineLines::new(transport.as_mut(), None, silence);
+                let mut lines = DeadlineLines::new(transport.as_mut(), deadline, silence);
                 if let Some(token) = token {
                     wire::auth_gate(&mut lines, token).map_err(OpeningError::Rejected)?;
                 }
@@ -801,7 +818,7 @@ fn connect_with_retry(addr: &str, options: &ClientOptions) -> Result<TcpTranspor
 /// opening.
 fn client_connect(addr: &str, options: &ClientOptions) -> Result<TcpTransport, ClientError> {
     let mut transport = connect_with_retry(addr, options)?;
-    dial_opening(&mut transport, options.token.as_deref(), None)?;
+    dial_opening(&mut transport, options.token.as_deref(), None, None)?;
     Ok(transport)
 }
 

@@ -81,7 +81,7 @@ use crate::backoff::Backoff;
 use crate::coordinator::{ShardStrategy, SweepConfig, SweepError, WorkerLaunch};
 use crate::net::{
     accept_opening, accept_socket, token_from_env, AttemptError, PipeTransport, TcpTransport,
-    Transport, WorkerConn,
+    Transport, WorkerConn, OPENING_TIMEOUT,
 };
 use crate::shard::{merge_experiment, plan_shards, MergeError, Shard};
 use crate::wire::{self, OpeningError, ServiceEvent, ShardSpec, SweepRequest};
@@ -1077,8 +1077,10 @@ fn validate(request: &wire::SweepRequest) -> Result<(), String> {
 /// One accepted registration connection: authenticate the dialling
 /// worker (every rejection is structured, sent before any capability
 /// exchange), give it a fresh fleet slot, and serve jobs on it until it
-/// departs.
+/// departs.  The whole opening, through the worker's `hello`, is due
+/// within [`OPENING_TIMEOUT`] of the accept.
 fn register_worker(scheduler: &Scheduler, stream: TcpStream) {
+    let opening_deadline = Instant::now() + OPENING_TIMEOUT;
     let peer = stream
         .peer_addr()
         .map_or_else(|_| "unknown".to_string(), |a| a.to_string());
@@ -1089,8 +1091,9 @@ fn register_worker(scheduler: &Scheduler, stream: TcpStream) {
             return;
         }
     };
-    match WorkerConn::establish(
+    match WorkerConn::establish_by(
         Box::new(transport),
+        Some(opening_deadline),
         scheduler.options.silence_timeout,
         scheduler.options.token.as_deref(),
     ) {

@@ -2,7 +2,8 @@
 //! to finish its opening, as a whole rather than per read.  A socket that
 //! connects to `sweep_worker --listen` and never writes is closed and its
 //! thread freed; a peer that trickles its handshake one byte per second
-//! is closed by the worker and by the daemon's client port alike.  Once a
+//! is closed by the worker and by the daemon's client and registration
+//! ports alike.  Once a
 //! worker session is established and idle, no thread of the worker
 //! wakes.  Every wait is bounded, so a server that never closes fails the
 //! test instead of blocking it.
@@ -24,7 +25,8 @@ fn close_bound() -> Duration {
 /// A spawned service, killed on drop so a failing test leaks nothing.
 struct Service {
     child: Child,
-    addr: String,
+    /// The addresses it announced, in order.
+    addrs: Vec<String>,
 }
 
 impl Drop for Service {
@@ -35,9 +37,9 @@ impl Drop for Service {
 }
 
 impl Service {
-    /// Spawn `bin` with `args` and read its address from its first
-    /// stdout line, `<announce> <addr>`.
-    fn start(bin: &str, args: &[&str], announce: &str) -> Service {
+    /// Spawn `bin` with `args` and read one address per entry of
+    /// `announces` from its stdout lines, `<announce> <addr>` each.
+    fn start(bin: &str, args: &[&str], announces: &[&str]) -> Service {
         let mut child = Command::new(bin)
             .args(args)
             .env_remove("SWEEP_TOKEN")
@@ -46,21 +48,22 @@ impl Service {
             .stderr(Stdio::null())
             .spawn()
             .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-        let mut line = String::new();
-        BufReader::new(child.stdout.take().expect("stdout piped"))
-            .read_line(&mut line)
-            .expect("read the announce line");
-        // Owned before the address is checked, so a bad line kills it.
+        let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+        // Owned before the addresses are checked, so a bad line kills it.
         let mut service = Service {
             child,
-            addr: String::new(),
+            addrs: Vec::new(),
         };
-        service.addr = line
-            .trim()
-            .strip_prefix(announce)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .unwrap_or_else(|| panic!("expected `{announce} <addr>`, got `{line}`"))
-            .to_string();
+        for announce in announces {
+            let mut line = String::new();
+            stdout.read_line(&mut line).expect("read an announce line");
+            let addr = line
+                .trim()
+                .strip_prefix(announce)
+                .and_then(|rest| rest.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("expected `{announce} <addr>`, got `{line}`"));
+            service.addrs.push(addr.to_string());
+        }
         service
     }
 
@@ -68,7 +71,7 @@ impl Service {
         Service::start(
             env!("CARGO_BIN_EXE_sweep_worker"),
             &["--listen", "127.0.0.1:0"],
-            "listening",
+            &["listening"],
         )
     }
 
@@ -82,7 +85,7 @@ impl Service {
                 "--register-listen",
                 "127.0.0.1:0",
             ],
-            "serving",
+            &["serving", "registering"],
         )
     }
 
@@ -153,7 +156,7 @@ fn a_listening_worker_closes_idle_sockets_and_frees_their_threads() {
     let worker = Service::worker();
     let until = Instant::now() + close_bound();
     let mut idle: Vec<TcpStream> = (0..5)
-        .map(|_| TcpStream::connect(&worker.addr).expect("connect an idle socket"))
+        .map(|_| TcpStream::connect(&worker.addrs[0]).expect("connect an idle socket"))
         .collect();
     for (i, socket) in idle.iter_mut().enumerate() {
         assert!(
@@ -182,8 +185,11 @@ fn a_trickled_handshake_is_closed_by_the_worker_and_the_daemon() {
     let worker = Service::worker();
     let daemon = Service::daemon();
     std::thread::scope(|scope| {
-        scope.spawn(|| trickled_handshake_is_closed(&worker.addr, "sweep_worker --listen"));
-        trickled_handshake_is_closed(&daemon.addr, "sweep serve's client port");
+        scope.spawn(|| trickled_handshake_is_closed(&worker.addrs[0], "sweep_worker --listen"));
+        scope.spawn(|| {
+            trickled_handshake_is_closed(&daemon.addrs[1], "sweep serve's registration port")
+        });
+        trickled_handshake_is_closed(&daemon.addrs[0], "sweep serve's client port");
     });
 }
 
@@ -191,7 +197,7 @@ fn a_trickled_handshake_is_closed_by_the_worker_and_the_daemon() {
 fn an_established_idle_worker_session_wakes_no_thread() {
     let worker = Service::worker();
     let wait = Some(Duration::from_secs(5));
-    let transport = TcpTransport::connect(&worker.addr, wait).expect("connect the worker");
+    let transport = TcpTransport::connect(&worker.addrs[0], wait).expect("connect the worker");
     let conn = WorkerConn::establish(Box::new(transport), wait, None).expect("open a session");
     // Let the session settle: its thread into the read for the first
     // command, its compute thread into the wait for a shard.

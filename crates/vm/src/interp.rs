@@ -3,7 +3,7 @@
 //! The VM executes instrumented `minic` programs against the simulated
 //! low-fat address space, dispatching every check instruction through a
 //! single [`san_api::Sanitizer`] backend (an EffectiveSan variant or one of
-//! the paper's comparison tools, constructed from the `san-api` registry),
+//! the paper's comparison tools, constructed by [`san_api::build`]),
 //! and counting every event needed by the paper's performance experiments
 //! (instructions, loads/stores, allocations and the per-check counters
 //! kept by the backend itself).
@@ -73,21 +73,20 @@ pub struct VmConfig {
     pub max_call_depth: usize,
     /// Seed for the `rand()` builtin.
     pub seed: u64,
-    /// Promote a function to the fast tier once it has been called this
-    /// many times (`u32::MAX` disables tiered execution entirely,
-    /// including on-stack replacement).
+    /// The tier switch: `u32::MAX` runs every activation in the slow
+    /// tier, the semantic oracle; any other value translates each
+    /// function at its first call and runs every activation in the fast
+    /// tier.  No call count is kept: the name and the `u32` stay only
+    /// because the benchmark harness assigns the field.
     pub promote_after_calls: u32,
-    /// Promote mid-execution (on-stack replacement) once a single slow
-    /// activation has taken this many backward jumps (`u32::MAX` disables
-    /// OSR only).  Catches hot loops inside functions called once.
-    ///
-    /// Both thresholds are clamped to at least 1: a threshold of 0 would
-    /// otherwise promote before any profile exists.
+    /// Read by nothing: there is no on-stack replacement, since every
+    /// activation starts in the tier it ends in.  Kept only because the
+    /// benchmark harness assigns it.
     pub osr_after_backjumps: u32,
-    /// Collect a per-check-site / per-function tier profile (see
+    /// Collect a per-check-site / per-function profile (see
     /// [`Vm::profile_report`]).  Off by default; profiling is
     /// observational only — results, statistics and diagnostics are
-    /// bit-identical either way (the differential suite pins this).
+    /// bit-identical either way (`tests/observability.rs` pins this).
     pub profile: bool,
 }
 
@@ -99,8 +98,8 @@ impl Default for VmConfig {
             max_instructions: 500_000_000,
             max_call_depth: 4096,
             seed: 0x5eed_0001,
-            promote_after_calls: 2,
-            osr_after_backjumps: 64,
+            promote_after_calls: 1,
+            osr_after_backjumps: u32::MAX,
             profile: false,
         }
     }
@@ -125,9 +124,11 @@ pub struct ExecStats {
     pub allocations: u64,
     /// Frees performed.
     pub frees: u64,
-    /// Functions promoted to the fast tier (translation events).
+    /// Functions translated to the fast tier: each function called, once,
+    /// or 0 with tiering off.
     pub tier_promotions: u64,
-    /// Calls dispatched to the fast tier.
+    /// Calls dispatched to the fast tier: every call, or 0 with tiering
+    /// off.
     pub fast_calls: u64,
     /// Always 0: both tiers run every check the program carries, and
     /// nothing removes checks.  Kept because the sweep wire format's
@@ -216,24 +217,12 @@ impl CostModel {
     }
 }
 
-/// A function-table entry: the slow-tier body (the semantic oracle), the
-/// fast-tier body once promoted, and the hotness counter driving
-/// promotion.
+/// A function-table entry: the slow-tier body (the semantic oracle) and,
+/// from its first call with tiering on, its fast-tier translation.
 #[derive(Debug)]
 struct FuncEntry {
     slow: Arc<Function>,
     fast: Option<Arc<FastFunction>>,
-    calls: u32,
-}
-
-/// Why a function is being promoted to the fast tier (profiler/tracer
-/// annotation only; the translation itself is identical).
-#[derive(Clone, Copy, Debug)]
-enum PromoteTrigger {
-    /// The per-function call counter reached the promotion threshold.
-    Calls(u32),
-    /// A single slow activation reached the OSR backjump threshold.
-    Backjumps(u32),
 }
 
 /// The virtual machine.
@@ -264,24 +253,25 @@ pub struct Vm {
     /// Instrument-time check-type id → backend type id, built once at
     /// load time so check dispatch never hashes a structural type.
     check_type_map: Vec<TypeId>,
-    promote_after_calls: u32,
-    osr_after_backjumps: u32,
-    /// Opt-in site/tier profiler ([`VmConfig::profile`]); `None` (the
+    /// Run every activation in the fast tier (`false` only when
+    /// [`VmConfig::promote_after_calls`] is `u32::MAX`).
+    tiered: bool,
+    /// Opt-in site profiler ([`VmConfig::profile`]); `None` (the
     /// default) keeps the hot paths free of sampling.
     profiler: Option<Box<VmProfiler>>,
 }
 
 impl Vm {
     /// Create a VM for an (instrumented) program and allocate its globals.
-    /// The backend is built from the `san-api` registry according to
+    /// The backend is built by [`san_api::build`] according to
     /// [`VmConfig::sanitizer`].
     pub fn new(program: Arc<Program>, config: VmConfig) -> Self {
         let backend = san_api::build(config.sanitizer, program.registry.clone(), config.runtime);
         Vm::with_backend(program, backend, config)
     }
 
-    /// Create a VM over an explicit backend (e.g. one built by name via
-    /// [`san_api::build_by_name`]); `config.sanitizer` is ignored.
+    /// Create a VM over an explicit backend (e.g. one wrapped to count
+    /// its hook calls); `config.sanitizer` is ignored.
     pub fn with_backend(
         program: Arc<Program>,
         mut backend: Box<dyn Sanitizer>,
@@ -335,7 +325,6 @@ impl Vm {
             funcs.push(FuncEntry {
                 slow: func,
                 fast: None,
-                calls: 0,
             });
         }
 
@@ -352,10 +341,7 @@ impl Vm {
             funcs,
             func_index,
             check_type_map,
-            // A threshold of 0 would promote before any profile exists;
-            // clamp to 1 (`u32::MAX` still means disabled).
-            promote_after_calls: config.promote_after_calls.max(1),
-            osr_after_backjumps: config.osr_after_backjumps.max(1),
+            tiered: config.promote_after_calls != u32::MAX,
             profiler: config
                 .profile
                 .then(|| Box::new(VmProfiler::new(func_names))),
@@ -383,7 +369,7 @@ impl Vm {
         self.stats
     }
 
-    /// The collected site/tier profile, if [`VmConfig::profile`] was set.
+    /// The collected site/function profile, if [`VmConfig::profile`] was set.
     pub fn profile_report(&self) -> Option<obs::ProfileReport> {
         self.profiler.as_ref().map(|p| p.report())
     }
@@ -393,26 +379,6 @@ impl Vm {
     fn prof_check(&mut self, loc: &Arc<str>, passed: bool) {
         if let Some(p) = self.profiler.as_deref_mut() {
             p.check(loc, passed);
-        }
-    }
-
-    /// Record an on-stack replacement (profiler event + trace event).
-    fn note_osr_entry(&mut self, func_idx: u32, backjumps: u32) {
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.osr_entry(func_idx, u64::from(backjumps));
-        }
-        let tracer = obs::san_tracer();
-        if tracer.enabled() {
-            tracer.event(
-                "tier_osr_entry",
-                &[
-                    (
-                        "func",
-                        self.funcs[func_idx as usize].slow.name.as_str().into(),
-                    ),
-                    ("backjumps", backjumps.into()),
-                ],
-            );
         }
     }
 
@@ -456,29 +422,29 @@ impl Vm {
         self.call_indexed(idx, arg_base, depth)
     }
 
-    /// Call the function at table index `idx`, bumping its hotness
-    /// counter and promoting it to the fast tier at the threshold.  The
-    /// callee is resolved with an `Arc` bump — the function body is never
-    /// cloned.
+    /// Call the function at table index `idx`.  With tiering on, its
+    /// first call translates it to the fast tier and every activation
+    /// runs there; with tiering off, every activation runs in the slow
+    /// tier.  The callee is resolved with an `Arc` bump — the function
+    /// body is never cloned.
     fn call_indexed(&mut self, idx: u32, arg_base: usize, depth: usize) -> Result<Value, VmError> {
         if depth > self.max_call_depth {
             self.arg_scratch.truncate(arg_base);
             return Err(VmError::StackOverflow);
         }
-        let entry = &mut self.funcs[idx as usize];
-        entry.calls = entry.calls.saturating_add(1);
-        let want_promote = self.promote_after_calls != u32::MAX
-            && entry.fast.is_none()
-            && entry.calls >= self.promote_after_calls;
-        let func = entry.slow.clone();
+        let func = self.funcs[idx as usize].slow.clone();
         if func.params.len() != self.arg_scratch.len() - arg_base {
             self.arg_scratch.truncate(arg_base);
             return Err(VmError::ArityMismatch(func.name.clone()));
         }
-        if want_promote {
-            self.promote(idx, PromoteTrigger::Calls(self.funcs[idx as usize].calls));
-        }
+        let fast = self.tiered.then(|| match &self.funcs[idx as usize].fast {
+            Some(fast) => fast.clone(),
+            None => self.translate(idx),
+        });
         self.stats.calls += 1;
+        if let Some(p) = self.profiler.as_deref_mut() {
+            p.call(idx);
+        }
 
         let frame_mark = self.backend.stack_frame_begin();
         let mut slots: Vec<Value> = vec![Value::default(); func.num_slots];
@@ -487,60 +453,42 @@ impl Vm {
         }
         self.arg_scratch.truncate(arg_base);
 
-        let result = match self.funcs[idx as usize].fast.clone() {
+        let result = match fast {
             Some(fast) => {
                 self.stats.fast_calls += 1;
-                if let Some(p) = self.profiler.as_deref_mut() {
-                    p.fast_call(idx);
-                }
-                self.exec_fast(&fast, &mut slots, depth, 0, idx)
+                self.exec_fast(&fast, &mut slots, depth, idx)
             }
-            None => {
-                if let Some(p) = self.profiler.as_deref_mut() {
-                    p.slow_call(idx);
-                }
-                self.exec_body(&func, &mut slots, depth, idx)
-            }
+            None => self.exec_body(&func, &mut slots, depth, idx),
         };
         self.backend.stack_frame_end(frame_mark);
         result
     }
 
-    /// Translate the function at table index `idx` into its fast form.
-    fn promote(&mut self, idx: u32, trigger: PromoteTrigger) {
-        if self.funcs[idx as usize].fast.is_some() {
-            return;
-        }
-        let slow = self.funcs[idx as usize].slow.clone();
-        let fast = FastFunction::translate(
-            &slow,
+    /// Translate the function at table index `idx` into its fast form,
+    /// at its first call.
+    fn translate(&mut self, idx: u32) -> Arc<FastFunction> {
+        let slow = &self.funcs[idx as usize].slow;
+        let fast = Arc::new(FastFunction::translate(
+            slow,
             &self.program.registry,
             &self.globals,
             &self.func_index,
             &self.check_type_map,
-        );
-        self.stats.tier_promotions += 1;
-        let (reason, detail) = match trigger {
-            PromoteTrigger::Calls(n) => ("promoted-after-calls", u64::from(n)),
-            PromoteTrigger::Backjumps(n) => ("promoted-for-osr", u64::from(n)),
-        };
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.promoted(idx, reason, detail);
-        }
+        ));
         let tracer = obs::san_tracer();
         if tracer.enabled() {
             tracer.event(
                 "tier_promote",
                 &[
                     ("func", slow.name.as_str().into()),
-                    ("reason", reason.into()),
-                    ("detail", detail.into()),
                     ("fast_instrs", fast.body.len().into()),
                     ("sites", fast.sites.len().into()),
                 ],
             );
         }
-        self.funcs[idx as usize].fast = Some(Arc::new(fast));
+        self.stats.tier_promotions += 1;
+        self.funcs[idx as usize].fast = Some(fast.clone());
+        fast
     }
 
     fn exec_body(
@@ -552,14 +500,6 @@ impl Vm {
     ) -> Result<Value, VmError> {
         let body = &func.body;
         let mut pc: usize = 0;
-        // On-stack replacement: count backward jumps and switch this
-        // activation to the fast tier mid-flight once the function is
-        // clearly loop-hot (first call of a kernel that loops millions of
-        // times would otherwise run cold for its entire first activation).
-        let osr_enabled = func_idx != u32::MAX
-            && self.promote_after_calls != u32::MAX
-            && self.osr_after_backjumps != u32::MAX;
-        let mut backjumps: u32 = 0;
         loop {
             if pc >= body.len() {
                 return Ok(Value::Int(0));
@@ -571,7 +511,7 @@ impl Vm {
                 self.stats.instructions += 1;
             }
             if let Some(p) = self.profiler.as_deref_mut() {
-                p.slow_instr(func_idx);
+                p.instrs(func_idx, 1);
             }
             if self.stats.instructions + self.stats.check_instructions > self.max_instructions {
                 return Err(VmError::InstructionLimit);
@@ -712,19 +652,6 @@ impl Vm {
                     }
                 }
                 Instr::Jump { target } => {
-                    if *target < pc {
-                        // Saturate: with OSR disabled a long-running loop
-                        // would otherwise wrap (and panic in debug builds).
-                        backjumps = backjumps.saturating_add(1);
-                        if osr_enabled && backjumps >= self.osr_after_backjumps {
-                            self.promote(func_idx, PromoteTrigger::Backjumps(backjumps));
-                            if let Some(fast) = self.funcs[func_idx as usize].fast.clone() {
-                                self.note_osr_entry(func_idx, backjumps);
-                                let entry = fast.pc_map[*target] as usize;
-                                return self.exec_fast(&fast, slots, depth, entry, func_idx);
-                            }
-                        }
-                    }
                     pc = *target;
                 }
                 Instr::Branch {
@@ -732,23 +659,11 @@ impl Vm {
                     then_target,
                     else_target,
                 } => {
-                    let t = if slots[*cond as usize].is_truthy() {
+                    pc = if slots[*cond as usize].is_truthy() {
                         *then_target
                     } else {
                         *else_target
                     };
-                    if t < pc {
-                        backjumps = backjumps.saturating_add(1);
-                        if osr_enabled && backjumps >= self.osr_after_backjumps {
-                            self.promote(func_idx, PromoteTrigger::Backjumps(backjumps));
-                            if let Some(fast) = self.funcs[func_idx as usize].fast.clone() {
-                                self.note_osr_entry(func_idx, backjumps);
-                                let entry = fast.pc_map[t] as usize;
-                                return self.exec_fast(&fast, slots, depth, entry, func_idx);
-                            }
-                        }
-                    }
-                    pc = t;
                 }
                 Instr::Return { value } => {
                     return Ok(value.map(|v| slots[v as usize]).unwrap_or(Value::Int(0)));
@@ -861,11 +776,10 @@ impl Vm {
         func: &FastFunction,
         slots: &mut [Value],
         depth: usize,
-        entry: usize,
         func_idx: u32,
     ) -> Result<Value, VmError> {
         let body = &func.body;
-        let mut pc: usize = entry;
+        let mut pc: usize = 0;
         // The instruction budget, kept in a register so the per-dispatch
         // limit test is a decrement instead of two counter loads and an
         // add.  `left == 0` exactly when the slow tier's
@@ -885,7 +799,7 @@ impl Vm {
                 self.stats.instructions += n_instr;
                 self.stats.check_instructions += n_check;
                 if let Some(p) = self.profiler.as_deref_mut() {
-                    p.fast_instrs(func_idx, n_instr + n_check);
+                    p.instrs(func_idx, n_instr + n_check);
                 }
                 n_instr = 0;
                 n_check = 0;
@@ -1792,18 +1706,48 @@ mod tests {
         assert_eq!(a.run("run", &[]).unwrap(), b.run("run", &[]).unwrap());
     }
 
-    fn vm_with_tiering(src: &str, kind: SanitizerKind, promote: u32, osr: u32) -> Vm {
+    /// A VM over `src` instrumented for `kind`: the default config when
+    /// `tiered`, else the slow-tier-only oracle.
+    fn vm_in_tier(src: &str, kind: SanitizerKind, tiered: bool) -> Vm {
         let program = minic::compile(src).unwrap();
         let instrumented = instrument_program(&program, kind);
-        Vm::new(
-            Arc::new(instrumented),
-            VmConfig {
-                sanitizer: kind,
-                promote_after_calls: promote,
-                osr_after_backjumps: osr,
-                ..Default::default()
-            },
-        )
+        let mut config = VmConfig {
+            sanitizer: kind,
+            ..Default::default()
+        };
+        if !tiered {
+            config.promote_after_calls = u32::MAX;
+        }
+        Vm::new(Arc::new(instrumented), config)
+    }
+
+    #[test]
+    fn the_default_runs_every_activation_fast_and_max_runs_none() {
+        // `step` is called from a loop and `unused` never: under the
+        // default each called function is translated once, at its first
+        // call, and every activation is fast; under `u32::MAX` none is.
+        let src = "int step(int i) { return i * 2; }
+        int unused(void) { return 0; }
+        int run(int n) {
+            int s = 0;
+            for (int i = 0; i < n; i++) { s += step(i); }
+            return s;
+        }";
+        for tiered in [true, false] {
+            let mut vm = vm_in_tier(src, SanitizerKind::None, tiered);
+            for _ in 0..3 {
+                assert_eq!(vm.run("run", &[Value::Int(10)]), Ok(Value::Int(90)));
+            }
+            let stats = vm.stats();
+            assert_eq!(stats.calls, 33, "tiered {tiered}");
+            if tiered {
+                assert_eq!(stats.tier_promotions, 2);
+                assert_eq!(stats.fast_calls, stats.calls);
+            } else {
+                assert_eq!(stats.tier_promotions, 0);
+                assert_eq!(stats.fast_calls, 0);
+            }
+        }
     }
 
     const LOOPY: &str = "int run(int n) {
@@ -1812,12 +1756,24 @@ mod tests {
         return s;
     }";
 
+    fn loopy_vm(promote_after_calls: u32, osr_after_backjumps: u32) -> Vm {
+        Vm::new(
+            Arc::new(minic::compile(LOOPY).unwrap()),
+            VmConfig {
+                sanitizer: SanitizerKind::None,
+                promote_after_calls,
+                osr_after_backjumps,
+                ..Default::default()
+            },
+        )
+    }
+
     #[test]
     fn promote_threshold_zero_is_clamped_to_first_call() {
-        // 0 would mean "promote before any profile exists"; it behaves
-        // exactly like 1 — promotion on the first call.
+        // 0 is not "before any call": it behaves exactly like 1, one
+        // translation at the first call.
         for threshold in [0, 1] {
-            let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, threshold, u32::MAX);
+            let mut vm = loopy_vm(threshold, u32::MAX);
             vm.run("run", &[Value::Int(4)]).unwrap();
             assert_eq!(vm.stats().tier_promotions, 1, "threshold {threshold}");
             assert_eq!(vm.stats().fast_calls, 1, "threshold {threshold}");
@@ -1826,43 +1782,12 @@ mod tests {
 
     #[test]
     fn promote_threshold_max_disables_tiering_entirely() {
-        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, u32::MAX, 1);
+        // osr_after_backjumps is read by nothing: 1000 backward jumps with
+        // osr=1 stay in the slow tier when promote=MAX.
+        let mut vm = loopy_vm(u32::MAX, 1);
         vm.run("run", &[Value::Int(1000)]).unwrap();
-        // promote=MAX also disables OSR: the loop ran 1000 backward jumps
-        // in the slow tier without promoting.
         assert_eq!(vm.stats().tier_promotions, 0);
         assert_eq!(vm.stats().fast_calls, 0);
-    }
-
-    #[test]
-    fn promote_threshold_max_minus_one_is_enabled_but_unreached() {
-        // MAX-1 is a real (unreachable here) threshold, not "disabled":
-        // small call counts stay slow, and nothing wraps or panics.
-        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, u32::MAX - 1, u32::MAX);
-        for _ in 0..3 {
-            vm.run("run", &[Value::Int(4)]).unwrap();
-        }
-        assert_eq!(vm.stats().tier_promotions, 0);
-    }
-
-    #[test]
-    fn osr_threshold_edges_promote_mid_activation_or_never() {
-        // osr=1 (and the clamped osr=0): the first backward jump of the
-        // first activation promotes, so a single call still reaches the
-        // fast tier.
-        for threshold in [0, 1] {
-            let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, 1000, threshold);
-            vm.run("run", &[Value::Int(100)]).unwrap();
-            assert_eq!(vm.stats().tier_promotions, 1, "osr {threshold}");
-        }
-        // osr=MAX disables OSR only: no promotion from a single hot call.
-        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, 1000, u32::MAX);
-        vm.run("run", &[Value::Int(100)]).unwrap();
-        assert_eq!(vm.stats().tier_promotions, 0);
-        // osr=MAX-1 is enabled but unreached by a 100-iteration loop.
-        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, 1000, u32::MAX - 1);
-        vm.run("run", &[Value::Int(100)]).unwrap();
-        assert_eq!(vm.stats().tier_promotions, 0);
     }
 
     #[test]
@@ -1881,9 +1806,9 @@ mod tests {
             free(p);
             return s;
         }";
-        let mut fast = vm_with_tiering(src, SanitizerKind::EffectiveFull, 1, 1);
+        let mut fast = vm_in_tier(src, SanitizerKind::EffectiveFull, true);
         let fast_result = fast.run("run", &[Value::Int(50)]).unwrap();
-        let mut slow = vm_with_tiering(src, SanitizerKind::EffectiveFull, u32::MAX, u32::MAX);
+        let mut slow = vm_in_tier(src, SanitizerKind::EffectiveFull, false);
         let slow_result = slow.run("run", &[Value::Int(50)]).unwrap();
         assert_eq!(fast_result, slow_result);
         assert!(fast.stats().fast_calls > 0);

@@ -7,7 +7,7 @@
 //! binaries: it executes the typed IR, dispatches the check instructions
 //! inserted by the `instrument` crate through a single
 //! [`san_api::Sanitizer`] backend (an EffectiveSan variant or a baseline
-//! comparison tool from the `san-api` registry), and records the event
+//! comparison tool built by [`san_api::build`]), and records the event
 //! counts (instructions, loads/stores, checks, allocations, peak memory)
 //! that the paper's performance figures are built from.  A deterministic
 //! [`CostModel`] turns those counts into comparable "time" estimates so

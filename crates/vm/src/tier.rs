@@ -1,14 +1,15 @@
-//! The fast execution tier: pre-resolved instruction streams for hot
-//! functions.
+//! The fast execution tier: pre-resolved instruction streams, one per
+//! called function.
 //!
 //! The slow tier interprets [`minic::ir::Instr`] directly, paying per
 //! dispatch for work that never changes across executions: hashing the
 //! callee name of every `Call`, hashing structural types in
 //! `registry.size_of` on every load/store, resolving global names, and
-//! cloning `Arc<str>` site labels.  Once a function is hot (see
-//! [`crate::VmConfig::promote_after_calls`]), it is translated once into a
-//! [`FastFunction`] — a compact stream of [`FastInstr`]s with every operand
-//! pre-resolved:
+//! cloning `Arc<str>` site labels.  With tiering on (see
+//! [`crate::VmConfig::promote_after_calls`]), each function is translated
+//! at its first call into a [`FastFunction`] — a compact stream of
+//! [`FastInstr`]s with every operand pre-resolved — and every activation
+//! of it runs there:
 //!
 //! * load/store element types become a [`LoadKind`] (no registry lookups),
 //! * callees become indices into the VM's function table,
@@ -396,17 +397,12 @@ pub enum FastInstr {
     },
 }
 
-/// A function promoted to the fast tier: the pre-resolved body plus the
-/// side tables its instructions index into.
+/// A function translated to the fast tier: the pre-resolved body plus
+/// the side tables its instructions index into.
 #[derive(Debug)]
 pub struct FastFunction {
     /// The fast instruction stream.
     pub body: Vec<FastInstr>,
-    /// Slow-tier pc → fast-tier pc (`body.len() + 1` entries; the final
-    /// entry maps one-past-the-end).  Used for on-stack replacement, which
-    /// only ever enters at jump targets; pcs that cannot be entered (the
-    /// consumed second halves of fused pairs) hold [`NO_INDEX`].
-    pub pc_map: Vec<u32>,
     /// Check-site labels.
     pub sites: Vec<Arc<str>>,
     /// Allocation element types (for `on_alloc`).
@@ -449,9 +445,12 @@ impl FastFunction {
             }
         }
 
+        // Slow-tier pc → fast-tier pc (`body.len() + 1` entries; the final
+        // entry maps one-past-the-end).  The consumed second halves of
+        // fused pairs are never jump targets and keep `NO_INDEX`.
+        let mut pc_map = vec![NO_INDEX; body.len() + 1];
         let mut out = FastFunction {
             body: Vec::with_capacity(body.len()),
-            pc_map: vec![NO_INDEX; body.len() + 1],
             sites: Vec::new(),
             types: Vec::new(),
             names: Vec::new(),
@@ -460,7 +459,7 @@ impl FastFunction {
 
         let mut i = 0;
         while i < body.len() {
-            out.pc_map[i] = out.body.len() as u32;
+            pc_map[i] = out.body.len() as u32;
             // Superinstruction fusion: a dereference guard directly
             // followed by the access it guards (same pointer slot), where
             // the access is not a jump target, executes as one dispatch.
@@ -549,21 +548,21 @@ impl FastFunction {
                 }
             }
         }
-        out.pc_map[body.len()] = out.body.len() as u32;
+        pc_map[body.len()] = out.body.len() as u32;
 
         // Jump targets were emitted as slow-tier pcs; map them.  A jump
         // target is never the consumed half of a fused pair (fusion
         // requires the access not be one), so its `pc_map` entry is valid.
         for fi in &mut out.body {
             match fi {
-                FastInstr::Jump { target } => *target = out.pc_map[*target as usize],
+                FastInstr::Jump { target } => *target = pc_map[*target as usize],
                 FastInstr::Branch {
                     then_target,
                     else_target,
                     ..
                 } => {
-                    *then_target = out.pc_map[*then_target as usize];
-                    *else_target = out.pc_map[*else_target as usize];
+                    *then_target = pc_map[*then_target as usize];
+                    *else_target = pc_map[*else_target as usize];
                 }
                 _ => {}
             }

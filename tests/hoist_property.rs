@@ -7,9 +7,10 @@
 //! orders, in and out of bounds) — interleaved with the two clobbers a
 //! redundant-check eliminator must respect: opaque calls and `free`s of
 //! one of the bases (so accesses after the free are use-after-free).  The
-//! program runs once with tiering forced on (promotion and OSR on the
-//! first opportunity) and once with tiering off; the slow tier is the
-//! oracle.
+//! program runs once under `VmConfig::default()`, where every activation
+//! runs in the fast tier (asserted: `fast_calls == calls`), and once with
+//! `promote_after_calls: u32::MAX`, where every activation runs in the
+//! slow tier, the oracle.
 //!
 //! The assertion is the exact contract of `tiered_differential.rs`: the
 //! fast tier runs every check the slow tier runs, so `bounds_checks`,
@@ -145,18 +146,19 @@ struct Observed {
 }
 
 fn observe(program: &Arc<Program>, kind: SanitizerKind, fast: bool) -> Observed {
-    let (promote, osr) = if fast { (1, 1) } else { (u32::MAX, u32::MAX) };
-    let mut vm = Vm::new(
-        program.clone(),
-        VmConfig {
-            sanitizer: kind,
-            promote_after_calls: promote,
-            osr_after_backjumps: osr,
-            ..Default::default()
-        },
-    );
+    let mut config = VmConfig {
+        sanitizer: kind,
+        ..Default::default()
+    };
+    if !fast {
+        config.promote_after_calls = u32::MAX;
+    }
+    let mut vm = Vm::new(program.clone(), config);
     let result = vm.run("run", &[Value::Int(3)]);
     let exec = vm.stats();
+    if fast {
+        assert_eq!(exec.fast_calls, exec.calls, "an activation ran slow");
+    }
     let checks = vm.backend().stats();
     Observed {
         result,

@@ -149,8 +149,8 @@ fn traced_sweep_stdout_is_byte_identical_to_untraced() {
     );
 
     // The VM-layer sink is written by the (single) worker; the default
-    // promotion threshold is low enough that test-scale spec workloads
-    // always promote, so it records tier transitions.
+    // config translates each function at its first call, so it records
+    // one `tier_promote` per function called.
     let san_trace = std::fs::read_to_string(&san).expect("SAN_TRACE sink written");
     assert_jsonl_shape("SAN_TRACE", &san_trace);
     assert!(

@@ -1,15 +1,15 @@
 //! Two-tier differential suite: the slow tier is the semantic oracle for
 //! the fast tier.
 //!
-//! Every program here runs twice per backend — once with tiering forced
-//! on as aggressively as possible (promotion on the first call, on-stack
-//! replacement on the first backward jump, so *every* activation and
-//! every loop exercises the fast tier and the OSR entry path), and once
-//! with tiering disabled entirely.  Everything observable must be
-//! bit-identical: the run result or `VmError`, every `ExecStats` counter
-//! except the two tier counters themselves, the backend's unified check
-//! statistics, its error statistics, the rendered diagnostics, and the
-//! program's `print` output.
+//! Every program here runs twice per backend — once under
+//! `VmConfig::default()`, which translates each function at its first
+//! call and runs *every* activation in the fast tier (asserted:
+//! `fast_calls == calls`), and once with `promote_after_calls:
+//! u32::MAX`, which runs every activation in the slow tier.  Everything
+//! observable must be bit-identical: the run result or `VmError`, every
+//! `ExecStats` counter except the two tier counters themselves, the
+//! backend's unified check statistics, its error statistics, the
+//! rendered diagnostics, and the program's `print` output.
 //!
 //! There is no relaxation: the fast tier runs every check the slow tier
 //! runs, so each backend check counter (`bounds_checks`, `access_checks`,
@@ -20,10 +20,10 @@
 //!
 //! The corpus is deliberately the adversarial end of the repo: all ten
 //! conformance scenarios (which fault, halt and quarantine) across all
-//! 13 registered backends, the spec workloads at test scale (loop-heavy,
-//! so OSR actually fires), an abort-after-one run that makes the fast
-//! tier halt mid-function, and instruction budgets that expire inside a
-//! promoted loop.
+//! 13 backends, the spec workloads at test scale (loop-heavy, with
+//! every superinstruction form), an abort-after-one run that makes the
+//! fast tier halt mid-function, and instruction budgets that expire
+//! inside a fast-tier loop.
 
 use std::sync::Arc;
 
@@ -52,8 +52,7 @@ fn run_once(
     abort_after: Option<u64>,
     fast: bool,
 ) -> Observed {
-    let (promote, osr) = if fast { (1, 1) } else { (u32::MAX, u32::MAX) };
-    let config = VmConfig {
+    let mut config = VmConfig {
         sanitizer: kind,
         runtime: RuntimeConfig {
             reporter: ReporterConfig {
@@ -62,17 +61,22 @@ fn run_once(
             },
             ..Default::default()
         },
-        promote_after_calls: promote,
-        osr_after_backjumps: osr,
         ..Default::default()
     };
+    if !fast {
+        config.promote_after_calls = u32::MAX;
+    }
     let mut vm = Vm::new(program.clone(), config);
     let result = vm.run(entry, args);
     let mut exec = vm.stats();
     if fast {
         assert!(
             exec.tier_promotions > 0,
-            "aggressive config never promoted — the fast tier was not exercised"
+            "the default config never translated — the fast tier was not exercised"
+        );
+        assert_eq!(
+            exec.fast_calls, exec.calls,
+            "the default config ran an activation in the slow tier"
         );
     } else {
         assert_eq!(exec.tier_promotions, 0, "disabled config promoted anyway");
@@ -133,7 +137,7 @@ const FAULTING_SOURCES: &[&str] = &[
         free(a);
         return 0;
     }",
-    // oob-read in a loop (OSR fires mid-scan)
+    // oob-read in a loop (faults mid-scan)
     "int run(int n) {
         int *a = (int *)malloc(16 * sizeof(int));
         int s = 0;
@@ -252,7 +256,7 @@ fn faulting_scenarios_agree_across_all_backends() {
 #[test]
 fn abort_after_halts_identically_in_both_tiers() {
     // A loop that faults on every iteration: with abort_after=1 the
-    // backend halts the VM mid-loop, which in the aggressive config
+    // backend halts the VM mid-loop, which under the default config
     // happens inside the fast tier (and inside a fused superinstruction's
     // check half).  The halt point, counters and diagnostics must match
     // the slow tier exactly.
@@ -275,9 +279,10 @@ fn abort_after_halts_identically_in_both_tiers() {
 
 #[test]
 fn spec_workloads_agree_on_the_check_heavy_backends() {
-    // Loop-heavy real workloads at test scale: promotion and OSR both
-    // fire, every superinstruction form is exercised, and the full
-    // check-count surface (SanStats) must still match to the last event.
+    // Loop-heavy real workloads at test scale: every function runs in the
+    // fast tier from its first call, every superinstruction form is
+    // exercised, and the full check-count surface (SanStats) must still
+    // match to the last event.
     for name in ["mcf", "gobmk", "astar", "xalancbmk"] {
         let bench = SpecBenchmark::by_name(name).expect("known benchmark");
         let source = bench.source(Scale::Test);
@@ -314,17 +319,20 @@ fn instruction_limit_fires_at_the_same_instruction() {
         for budget in [1u64, 7, 64, 1000, 4096] {
             let mut observed = Vec::new();
             for fast in [true, false] {
-                let (promote, osr) = if fast { (1, 1) } else { (u32::MAX, u32::MAX) };
-                let config = VmConfig {
+                let mut config = VmConfig {
                     sanitizer: kind,
                     max_instructions: budget,
-                    promote_after_calls: promote,
-                    osr_after_backjumps: osr,
                     ..Default::default()
                 };
+                if !fast {
+                    config.promote_after_calls = u32::MAX;
+                }
                 let mut vm = Vm::new(instrumented.clone(), config);
                 let result = vm.run("run", &[Value::Int(1)]);
                 let mut exec = vm.stats();
+                if fast {
+                    assert_eq!(exec.fast_calls, exec.calls, "budget {budget} under {kind}");
+                }
                 exec.tier_promotions = 0;
                 exec.fast_calls = 0;
                 observed.push((result, exec));
