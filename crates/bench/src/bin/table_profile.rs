@@ -4,7 +4,9 @@
 //! [`RunConfig::profile`] enabled and renders the merged profile: the
 //! top-N check sites with per-site hit/miss counts and the top-N
 //! functions with their instruction and call counts — which check sites
-//! and functions a run spends its time in.  Profiling is observational,
+//! and functions a run spends its time in.  Every row names its program
+//! (`mcf/bench_main`), so same-named functions of different benchmarks
+//! stay apart; the backends of one benchmark share its rows.  Profiling is observational,
 //! but its sampling costs a few percent, so wall-clock timing is left to
 //! `perfbench/`.
 //!
@@ -18,7 +20,7 @@
 //! Backend-name arguments select which backends run (default:
 //! EffectiveSan-full); `SCALE` selects the workload scale as in the other
 //! bins.  With `--json` the full merged profile (every site, every
-//! function) is emitted as one `effective-san-profile/3` JSON object.
+//! function) is emitted as one `effective-san-profile/4` JSON object.
 
 use effective_san::obs::ProfileReport;
 use effective_san::workloads::SpecBenchmark;
@@ -78,14 +80,14 @@ fn main() {
             };
             let (_, prof) = run_program_profiled(&program, "bench_main", &[scale.n()], &config);
             if let Some(prof) = prof {
-                merged.merge(&prof);
+                merged.merge(&prof.qualified(bench_def.name));
             }
         }
     }
 
     if json {
         println!(
-            "{{\"schema\":\"effective-san-profile/3\",\"scale\":\"{scale:?}\",\"profile\":{}}}",
+            "{{\"schema\":\"effective-san-profile/4\",\"scale\":\"{scale:?}\",\"profile\":{}}}",
             merged.to_json()
         );
         return;

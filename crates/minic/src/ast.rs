@@ -248,8 +248,20 @@ pub enum Expr {
         /// Source location.
         loc: Loc,
     },
-    /// Pre/post increment/decrement, desugared to `x = x ± 1` by the
-    /// parser; never appears after parsing.
+    /// Increment or decrement, prefix (`++target`, `--target`) or postfix
+    /// (`target++`, `target--`).  Both write `target ± 1`; the prefix
+    /// form yields the new value, the postfix form the old one.
+    Increment {
+        /// [`BinOp::Add`] for `++`, [`BinOp::Sub`] for `--`.
+        op: BinOp,
+        /// The variable or memory location updated (an lvalue expression).
+        target: Box<Expr>,
+        /// The postfix form.
+        postfix: bool,
+        /// Source location.
+        loc: Loc,
+    },
+    /// Array subscript `base[index]`.
     Index {
         /// Base expression (array or pointer).
         base: Box<Expr>,
@@ -340,6 +352,7 @@ impl Expr {
             Expr::Binary { loc, .. }
             | Expr::Unary { loc, .. }
             | Expr::Assign { loc, .. }
+            | Expr::Increment { loc, .. }
             | Expr::Index { loc, .. }
             | Expr::Member { loc, .. }
             | Expr::Cast { loc, .. }

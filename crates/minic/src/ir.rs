@@ -410,6 +410,29 @@ impl Instr {
         }
     }
 
+    /// The destination slot, mutably: retargets the instruction to write
+    /// another slot.
+    pub(crate) fn dst_mut(&mut self) -> Option<&mut Slot> {
+        match self {
+            Instr::Const { dst, .. }
+            | Instr::Copy { dst, .. }
+            | Instr::Bin { dst, .. }
+            | Instr::Un { dst, .. }
+            | Instr::Alloca { dst, .. }
+            | Instr::GlobalAddr { dst, .. }
+            | Instr::Load { dst, .. }
+            | Instr::FieldAddr { dst, .. }
+            | Instr::PtrAdd { dst, .. }
+            | Instr::Cast { dst, .. }
+            | Instr::TypeCheck { dst, .. }
+            | Instr::CastCheck { dst, .. }
+            | Instr::BoundsGet { dst, .. }
+            | Instr::BoundsNarrow { dst, .. } => Some(dst),
+            Instr::Call { dst, .. } | Instr::CallBuiltin { dst, .. } => dst.as_mut(),
+            _ => None,
+        }
+    }
+
     /// Is this one of the instrumentation instructions?
     pub fn is_check(&self) -> bool {
         matches!(

@@ -12,6 +12,20 @@
 //! record-typed locals are materialised with [`Instr::Alloca`] so they
 //! become typed low-fat stack objects at runtime, mirroring how the low-fat
 //! stack allocator only intercepts escaping objects.
+//!
+//! Each full expression (an expression statement, a condition, a `for`
+//! step, a `return` value or an initialiser) is lowered in one of two
+//! modes, chosen by one walk of its AST:
+//!
+//! * **direct**, when no assignment sits below the expression's root: a
+//!   read of a register variable yields the variable's own slot, and a
+//!   root assignment or initialiser of a register variable retargets the
+//!   instruction that computed the value to write the variable, as an SSA
+//!   compiler would;
+//! * **copying**, when one does (`x + (x = 5)`, `a = b = c`): every read
+//!   of a register variable is copied into a fresh temp and every
+//!   assigned value is copied into its variable, so operands are read
+//!   left to right before any later assignment can change them.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -141,6 +155,14 @@ enum LValue {
     Mem(Slot, Type),
 }
 
+impl LValue {
+    fn ty(&self) -> &Type {
+        match self {
+            LValue::Reg(_, ty) | LValue::Mem(_, ty) => ty,
+        }
+    }
+}
+
 #[derive(Clone)]
 struct LocalVar {
     slot: Slot,
@@ -166,6 +188,9 @@ struct FunctionLowerer<'a> {
     loops: Vec<LoopContext>,
     address_taken: HashSet<String>,
     fname: String,
+    /// The current full expression is lowered in direct mode (see the
+    /// module docs).
+    direct: bool,
 }
 
 impl<'a> FunctionLowerer<'a> {
@@ -191,6 +216,7 @@ impl<'a> FunctionLowerer<'a> {
             loops: Vec::new(),
             address_taken: HashSet::new(),
             fname: String::new(),
+            direct: false,
         }
     }
 
@@ -304,10 +330,7 @@ impl<'a> FunctionLowerer<'a> {
                 init,
                 loc,
             } => self.lower_decl(name, ty, init.as_ref(), *loc),
-            Stmt::Expr(e) => {
-                self.lower_expr(e)?;
-                Ok(())
-            }
+            Stmt::Expr(e) => self.lower_discarded(e),
             Stmt::Block(stmts) => {
                 self.scopes.push(HashMap::new());
                 for s in stmts {
@@ -322,7 +345,7 @@ impl<'a> FunctionLowerer<'a> {
                 else_body,
                 ..
             } => {
-                let (c, _) = self.lower_expr(cond)?;
+                let (c, _) = self.lower_full(cond, None)?;
                 let branch_idx = self.emit(Instr::Branch {
                     cond: c,
                     then_target: 0,
@@ -348,7 +371,7 @@ impl<'a> FunctionLowerer<'a> {
             }
             Stmt::While { cond, body, .. } => {
                 let cond_start = self.body.len();
-                let (c, _) = self.lower_expr(cond)?;
+                let (c, _) = self.lower_full(cond, None)?;
                 let branch_idx = self.emit(Instr::Branch {
                     cond: c,
                     then_target: 0,
@@ -390,7 +413,7 @@ impl<'a> FunctionLowerer<'a> {
                 let cond_start = self.body.len();
                 let branch_idx = match cond {
                     Some(c) => {
-                        let (c, _) = self.lower_expr(c)?;
+                        let (c, _) = self.lower_full(c, None)?;
                         Some(self.emit(Instr::Branch {
                             cond: c,
                             then_target: 0,
@@ -411,7 +434,7 @@ impl<'a> FunctionLowerer<'a> {
                 self.scopes.pop();
                 let step_start = self.body.len();
                 if let Some(step) = step {
-                    self.lower_expr(step)?;
+                    self.lower_discarded(step)?;
                 }
                 self.emit(Instr::Jump { target: cond_start });
                 let end = self.body.len();
@@ -431,8 +454,18 @@ impl<'a> FunctionLowerer<'a> {
             Stmt::Return(value, _) => {
                 let value = match value {
                     Some(e) => {
-                        let (s, _) = self.lower_expr(e)?;
-                        Some(s)
+                        let (s, ty) = self.lower_full(e, None)?;
+                        if ty.is_pointer() && self.is_register_variable(s) {
+                            // The instrumentation bounds-checks a returned
+                            // pointer only if its slot already has bounds
+                            // at this point of the body; a fresh copy always
+                            // does, a variable may get them only further on.
+                            let copy = self.new_slot();
+                            self.emit(Instr::Copy { dst: copy, src: s });
+                            Some(copy)
+                        } else {
+                            Some(s)
+                        }
                     }
                     None => None,
                 };
@@ -496,7 +529,7 @@ impl<'a> FunctionLowerer<'a> {
                         loc,
                     ));
                 }
-                let (v, vty) = self.lower_expr_expect(init, Some(ty))?;
+                let (v, vty) = self.lower_full(init, Some(ty))?;
                 let v = self.coerce(v, &vty, ty, loc)?;
                 self.emit(Instr::Store {
                     ptr,
@@ -515,9 +548,10 @@ impl<'a> FunctionLowerer<'a> {
                 },
             );
             if let Some(init) = init {
-                let (v, vty) = self.lower_expr_expect(init, Some(ty))?;
+                let init_start = self.num_slots;
+                let (v, vty) = self.lower_full(init, Some(ty))?;
                 let v = self.coerce(v, &vty, ty, loc)?;
-                self.emit(Instr::Copy { dst: slot, src: v });
+                self.write_reg(slot, v, init_start);
             } else {
                 self.emit(Instr::Const {
                     dst: slot,
@@ -557,6 +591,137 @@ impl<'a> FunctionLowerer<'a> {
             }
         }
         None
+    }
+
+    /// Whether `slot` is the own slot of a register variable in scope.
+    fn is_register_variable(&self, slot: Slot) -> bool {
+        self.scopes
+            .iter()
+            .flat_map(HashMap::values)
+            .any(|v| v.slot == slot && !v.is_alloca)
+    }
+
+    /// Lower a full expression, choosing its mode first (see the module
+    /// docs).  The mode holds until the next full expression, so an
+    /// initialiser's write to its variable is made in the same mode.
+    fn lower_full(
+        &mut self,
+        e: &Expr,
+        expected: Option<&Type>,
+    ) -> Result<(Slot, Type), CompileError> {
+        self.direct = !assigns_below_root(e);
+        self.lower_expr_expect(e, expected)
+    }
+
+    /// Lower a full expression whose value is discarded (an expression
+    /// statement or a `for` step), where a postfix `++`/`--` is the prefix
+    /// form.
+    fn lower_discarded(&mut self, e: &Expr) -> Result<(), CompileError> {
+        match e {
+            Expr::Increment {
+                op, target, loc, ..
+            } => {
+                self.direct = !assigns_below_root(e);
+                self.lower_increment(*op, target, false, *loc)?
+            }
+            other => self.lower_full(other, None)?,
+        };
+        Ok(())
+    }
+
+    /// Write `v: vty`, computed by instructions that allocated slots from
+    /// `rhs_start` on, to `lv`, converting it to the lvalue's type;
+    /// returns the slot holding the assigned value and that type.
+    fn assign(
+        &mut self,
+        lv: LValue,
+        v: Slot,
+        vty: &Type,
+        rhs_start: usize,
+        loc: Loc,
+    ) -> Result<(Slot, Type), CompileError> {
+        let v = self.coerce(v, vty, lv.ty(), loc)?;
+        Ok(match lv {
+            LValue::Reg(var, ty) => (self.write_reg(var, v, rhs_start), ty),
+            LValue::Mem(ptr, ty) => {
+                self.emit(Instr::Store {
+                    ptr,
+                    src: v,
+                    ty: ty.clone(),
+                });
+                (v, ty)
+            }
+        })
+    }
+
+    /// `target ± 1`, written back to `target`.  The prefix form is the
+    /// assignment `target = target ± 1`: it reads `target` again and
+    /// yields the new value.  The postfix form reads the old value
+    /// through the lvalue (a `Copy` of a register, a `Load` from memory)
+    /// and yields that.
+    fn lower_increment(
+        &mut self,
+        op: BinOp,
+        target: &Expr,
+        postfix: bool,
+        loc: Loc,
+    ) -> Result<(Slot, Type), CompileError> {
+        let lv = self.lower_lvalue(target)?;
+        let rhs_start = self.num_slots;
+        let (old, ty) = if postfix {
+            let old = self.new_slot();
+            self.emit(match &lv {
+                LValue::Reg(var, _) => Instr::Copy {
+                    dst: old,
+                    src: *var,
+                },
+                LValue::Mem(ptr, ty) => Instr::Load {
+                    dst: old,
+                    ptr: *ptr,
+                    ty: ty.clone(),
+                },
+            });
+            (old, lv.ty().clone())
+        } else {
+            self.lower_expr(target)?
+        };
+        let one = self.new_slot();
+        self.emit(Instr::Const {
+            dst: one,
+            value: Const::Int(1),
+        });
+        let (new, new_ty) = self.emit_binary(op, old, ty, one, Type::int(), loc)?;
+        let (new, ty) = self.assign(lv, new, &new_ty, rhs_start, loc)?;
+        Ok((if postfix { old } else { new }, ty))
+    }
+
+    /// Write `v` to the register variable `var`, where `rhs_start` was the
+    /// first free slot before the right-hand side was lowered; returns the
+    /// slot holding the assigned value.  In direct mode the last emitted
+    /// instruction is retargeted to write `var` when it computed `v` into
+    /// a temp of this right-hand side and is not a `Copy` (a `?:` result is
+    /// written on two paths).  Otherwise — copying mode, or `v` is a
+    /// variable's own slot, a decayed array or `&x` — `var` gets a `Copy`.
+    fn write_reg(&mut self, var: Slot, v: Slot, rhs_start: usize) -> Slot {
+        if self.direct && v as usize >= rhs_start {
+            if let Some(dst) = self
+                .body
+                .last_mut()
+                .filter(|last| !matches!(last, Instr::Copy { .. }))
+                .and_then(Instr::dst_mut)
+                .filter(|dst| **dst == v)
+            {
+                *dst = var;
+                // Nothing reads or writes the retargeted temp any more;
+                // give its slot back when it is the newest.
+                if v as usize + 1 == self.num_slots {
+                    self.num_slots -= 1;
+                }
+                return var;
+            }
+        }
+        self.emit(Instr::Copy { dst: var, src: v });
+        v
     }
 
     fn lower_expr(&mut self, e: &Expr) -> Result<(Slot, Type), CompileError> {
@@ -625,6 +790,7 @@ impl<'a> FunctionLowerer<'a> {
             Expr::Var(..) | Expr::Index { .. } | Expr::Member { .. } | Expr::Deref(..) => {
                 let lv = self.lower_lvalue(e)?;
                 match lv {
+                    LValue::Reg(slot, ty) if self.direct => Ok((slot, ty)),
                     LValue::Reg(slot, ty) => {
                         let dst = self.new_slot();
                         self.emit(Instr::Copy { dst, src: slot });
@@ -682,21 +848,16 @@ impl<'a> FunctionLowerer<'a> {
             Expr::Binary { op, lhs, rhs, loc } => self.lower_binary(*op, lhs, rhs, *loc),
             Expr::Assign { lhs, rhs, loc } => {
                 let lv = self.lower_lvalue(lhs)?;
-                let lv_ty = match &lv {
-                    LValue::Reg(_, t) | LValue::Mem(_, t) => t.clone(),
-                };
-                let (v, vty) = self.lower_expr_expect(rhs, Some(&lv_ty))?;
-                let v = self.coerce(v, &vty, &lv_ty, *loc)?;
-                match lv {
-                    LValue::Reg(slot, _) => {
-                        self.emit(Instr::Copy { dst: slot, src: v });
-                    }
-                    LValue::Mem(ptr, ty) => {
-                        self.emit(Instr::Store { ptr, src: v, ty });
-                    }
-                }
-                Ok((v, lv_ty))
+                let rhs_start = self.num_slots;
+                let (v, vty) = self.lower_expr_expect(rhs, Some(lv.ty()))?;
+                self.assign(lv, v, &vty, rhs_start, *loc)
             }
+            Expr::Increment {
+                op,
+                target,
+                postfix,
+                loc,
+            } => self.lower_increment(*op, target, *postfix, *loc),
             Expr::Cast {
                 ty,
                 style: _,
@@ -869,7 +1030,20 @@ impl<'a> FunctionLowerer<'a> {
 
         let (l, lty) = self.lower_expr(lhs)?;
         let (r, rty) = self.lower_expr(rhs)?;
+        self.emit_binary(op, l, lty, r, rty, loc)
+    }
 
+    /// Emit the arithmetic, comparison or bitwise operation `op` on the
+    /// already-lowered operands `l: lty` and `r: rty`.
+    fn emit_binary(
+        &mut self,
+        op: BinOp,
+        l: Slot,
+        lty: Type,
+        r: Slot,
+        rty: Type,
+        loc: Loc,
+    ) -> Result<(Slot, Type), CompileError> {
         // Pointer arithmetic: p + i, p - i, p[i] is handled elsewhere.
         if lty.is_pointer() && rty.is_integer() && matches!(op, BinOp::Add | BinOp::Sub) {
             let elem_ty = lty.pointee().cloned().unwrap_or_else(Type::char_);
@@ -1279,6 +1453,48 @@ fn cast_kind(from: &Type, to: &Type) -> CastKind {
     }
 }
 
+/// Whether an assignment sits below `e`'s root: `e` is lowered in copying
+/// mode if so, in direct mode if not (see the module docs).
+fn assigns_below_root(e: &Expr) -> bool {
+    match e {
+        Expr::Assign { lhs, rhs, .. } => has_assign(lhs) || has_assign(rhs),
+        Expr::Increment { target, .. } => has_assign(target),
+        other => has_assign(other),
+    }
+}
+
+/// Whether `e` is or contains an assignment; `++` and `--` count.
+fn has_assign(e: &Expr) -> bool {
+    match e {
+        Expr::Assign { .. } | Expr::Increment { .. } => true,
+        Expr::IntLit(..)
+        | Expr::FloatLit(..)
+        | Expr::StrLit(..)
+        | Expr::Null(..)
+        | Expr::Var(..)
+        | Expr::SizeOf(..)
+        | Expr::New { count: None, .. } => false,
+        Expr::Binary { lhs, rhs, .. } => has_assign(lhs) || has_assign(rhs),
+        Expr::Index { base, index, .. } => has_assign(base) || has_assign(index),
+        Expr::Unary { operand: inner, .. }
+        | Expr::Member { base: inner, .. }
+        | Expr::Deref(inner, _)
+        | Expr::AddrOf(inner, _)
+        | Expr::Cast { expr: inner, .. }
+        | Expr::New {
+            count: Some(inner), ..
+        }
+        | Expr::Delete { expr: inner, .. } => has_assign(inner),
+        Expr::Call { args, .. } => args.iter().any(has_assign),
+        Expr::Conditional {
+            cond,
+            then_expr,
+            else_expr,
+            ..
+        } => has_assign(cond) || has_assign(then_expr) || has_assign(else_expr),
+    }
+}
+
 /// Collect the names of local variables whose address is taken with `&`.
 fn collect_address_taken(stmts: &[Stmt], out: &mut HashSet<String>) {
     fn walk_expr(e: &Expr, out: &mut HashSet<String>) {
@@ -1298,6 +1514,7 @@ fn collect_address_taken(stmts: &[Stmt], out: &mut HashSet<String>) {
                 walk_expr(lhs, out);
                 walk_expr(rhs, out);
             }
+            Expr::Increment { target, .. } => walk_expr(target, out),
             Expr::Index { base, index, .. } => {
                 walk_expr(base, out);
                 walk_expr(index, out);
@@ -1424,6 +1641,111 @@ mod tests {
         assert!(f.body.iter().any(
             |i| matches!(i, Instr::Load { ty, .. } if *ty == Type::ptr(Type::struct_("node")))
         ));
+    }
+
+    /// The paper's Figure 4, as the `instrument::pass` tests compile it.
+    const FIGURE4: &str = "struct node { int value; struct node *next; };
+         int length(struct node *xs) {
+             int len = 0;
+             while (xs != NULL) {
+                 len++;
+                 xs = xs->next;
+             }
+             return len;
+         }
+         int sum(int *a, int len) {
+             int s = 0;
+             for (int i = 0; i < len; i++) { s += a[i]; }
+             return s;
+         }";
+
+    fn copies(f: &Function) -> usize {
+        f.body
+            .iter()
+            .filter(|i| matches!(i, Instr::Copy { .. }))
+            .count()
+    }
+
+    fn returned_slot(f: &Function) -> Slot {
+        match f.body.last() {
+            Some(Instr::Return { value: Some(s) }) => *s,
+            other => panic!("{} ends in {other:?}", f.name),
+        }
+    }
+
+    #[test]
+    fn figure4_register_variables_need_no_copies() {
+        let p = compile(FIGURE4);
+        let sum = p.function("sum").unwrap();
+        let length = p.function("length").unwrap();
+        assert_eq!(copies(sum), 0, "{:?}", sum.body);
+        assert_eq!(copies(length), 0, "{:?}", length.body);
+        assert_eq!((sum.body.len(), length.body.len()), (11, 10));
+        // `return s;` hands back `s`'s own slot, and `s += a[i]` adds
+        // straight into it.
+        let s = returned_slot(sum);
+        assert!(
+            sum.body
+                .iter()
+                .any(|i| matches!(i, Instr::Bin { dst, op: BinOp::Add, lhs, .. } if *dst == s && *lhs == s)),
+            "{:?}", sum.body
+        );
+        // `xs = xs->next` loads into `xs`'s slot.
+        let xs = length.params[0].slot;
+        assert!(
+            length
+                .body
+                .iter()
+                .any(|i| matches!(i, Instr::Load { dst, .. } if *dst == xs)),
+            "{:?}",
+            length.body
+        );
+    }
+
+    #[test]
+    fn initialising_from_a_variable_keeps_its_copy() {
+        let p = compile("int f(int x) { int y = x; return y; }");
+        let f = p.function("f").unwrap();
+        let y = returned_slot(f);
+        let x = f.params[0].slot;
+        assert_eq!(copies(f), 1, "{:?}", f.body);
+        assert!(f
+            .body
+            .iter()
+            .any(|i| matches!(i, Instr::Copy { dst, src } if *dst == y && *src == x)));
+    }
+
+    #[test]
+    fn an_assignment_below_the_root_lowers_with_copies() {
+        // Both reads of `x` are copied before `x = 5` can change it.
+        let p = compile("int f(int x) { return x + (x = 5); }");
+        let f = p.function("f").unwrap();
+        let x = f.params[0].slot;
+        assert!(f
+            .body
+            .iter()
+            .any(|i| matches!(i, Instr::Copy { src, .. } if *src == x)));
+        assert!(f
+            .body
+            .iter()
+            .any(|i| matches!(i, Instr::Copy { dst, .. } if *dst == x)));
+    }
+
+    #[test]
+    fn a_discarded_postfix_increment_lowers_as_the_prefix_form() {
+        for (postfix, prefix) in [
+            (
+                "void f(int *a, int i) { a[i]++; }",
+                "void f(int *a, int i) { ++a[i]; }",
+            ),
+            (
+                "int f(int n) { int s = 0; for (int i = 0; i < n; i--) { s += i; } return s; }",
+                "int f(int n) { int s = 0; for (int i = 0; i < n; --i) { s += i; } return s; }",
+            ),
+        ] {
+            let body = |src: &str| compile(src).function("f").unwrap().body.clone();
+            assert_eq!(body(postfix), body(prefix), "{postfix}");
+        }
     }
 
     #[test]

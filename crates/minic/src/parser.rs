@@ -853,21 +853,15 @@ impl Parser {
                 Ok(Expr::AddrOf(Box::new(self.parse_unary()?), loc))
             }
             TokenKind::Punct(Punct::PlusPlus) | TokenKind::Punct(Punct::MinusMinus) => {
-                // Pre-increment/decrement: ++x  ==>  x = x + 1
                 let op = if self.bump() == TokenKind::Punct(Punct::PlusPlus) {
                     BinOp::Add
                 } else {
                     BinOp::Sub
                 };
-                let target = self.parse_unary()?;
-                Ok(Expr::Assign {
-                    lhs: Box::new(target.clone()),
-                    rhs: Box::new(Expr::Binary {
-                        op,
-                        lhs: Box::new(target),
-                        rhs: Box::new(Expr::IntLit(1, loc)),
-                        loc,
-                    }),
+                Ok(Expr::Increment {
+                    op,
+                    target: Box::new(self.parse_unary()?),
+                    postfix: false,
                     loc,
                 })
             }
@@ -993,23 +987,15 @@ impl Parser {
                     };
                 }
                 TokenKind::Punct(Punct::PlusPlus) | TokenKind::Punct(Punct::MinusMinus) => {
-                    // Post-increment used as a statement: desugared to the
-                    // same assignment as the pre-form (the value difference
-                    // does not matter for the workloads, which use it in
-                    // statement position).
                     let op = if self.bump() == TokenKind::Punct(Punct::PlusPlus) {
                         BinOp::Add
                     } else {
                         BinOp::Sub
                     };
-                    expr = Expr::Assign {
-                        lhs: Box::new(expr.clone()),
-                        rhs: Box::new(Expr::Binary {
-                            op,
-                            lhs: Box::new(expr),
-                            rhs: Box::new(Expr::IntLit(1, loc)),
-                            loc,
-                        }),
+                    expr = Expr::Increment {
+                        op,
+                        target: Box::new(expr),
+                        postfix: true,
                         loc,
                     };
                 }

@@ -63,6 +63,19 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
+    /// This report with every site label and function name prefixed by
+    /// `program/`, so that merging the reports of several programs keeps
+    /// their same-named functions and sites in rows of their own.
+    pub fn qualified(mut self, program: &str) -> ProfileReport {
+        for (label, _) in &mut self.sites {
+            *label = format!("{program}/{label}");
+        }
+        for (name, _) in &mut self.funcs {
+            *name = format!("{program}/{name}");
+        }
+        self
+    }
+
     /// Fold `other` into `self`, summing counts by name.
     pub fn merge(&mut self, other: &ProfileReport) {
         let mut sites: BTreeMap<String, SiteCounts> = self.sites.drain(..).collect();
@@ -194,6 +207,44 @@ mod tests {
                 instructions: 17,
                 calls: 3,
             }
+        );
+    }
+
+    #[test]
+    fn qualified_reports_of_two_programs_keep_their_own_rows() {
+        let run = |instructions| ProfileReport {
+            sites: vec![("bench_main#1:load".into(), site(1, 0))],
+            funcs: vec![(
+                "bench_main".into(),
+                FuncCounts {
+                    instructions,
+                    calls: 1,
+                },
+            )],
+        };
+        let mut merged = ProfileReport::default();
+        merged.merge(&run(47).qualified("mcf"));
+        merged.merge(&run(50).qualified("astar"));
+        let sites: Vec<&str> = merged.sites.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(sites, ["astar/bench_main#1:load", "mcf/bench_main#1:load"]);
+        assert_eq!(
+            merged.funcs,
+            vec![
+                (
+                    "astar/bench_main".to_string(),
+                    FuncCounts {
+                        instructions: 50,
+                        calls: 1
+                    }
+                ),
+                (
+                    "mcf/bench_main".to_string(),
+                    FuncCounts {
+                        instructions: 47,
+                        calls: 1
+                    }
+                ),
+            ]
         );
     }
 
