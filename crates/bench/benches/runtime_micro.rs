@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the runtime primitives: typed allocation,
-//! `type_check`, `bounds_check` and the low-fat `base`/`size` operations.
+//! `type_check` (structural and by pre-interned id), `bounds_check` and the
+//! low-fat `base`/`size` operations.
 
 use std::sync::Arc;
 
@@ -55,6 +56,15 @@ fn bench_runtime(c: &mut Criterion) {
         let mut rt = TypeCheckRuntime::new(registry(), RuntimeConfig::default());
         let p = rt.type_malloc(16, &Type::struct_("node"), AllocKind::Heap);
         b.iter(|| rt.type_check(std::hint::black_box(p), &Type::struct_("node"), &loc))
+    });
+
+    // The probe alone: the static type is interned once, as the VM does
+    // at load time (`type_check_hit` above interns it on every call).
+    c.bench_function("type_check_id_hit", |b| {
+        let mut rt = TypeCheckRuntime::new(registry(), RuntimeConfig::default());
+        let p = rt.type_malloc(16, &Type::struct_("node"), AllocKind::Heap);
+        let node = rt.intern_type(&Type::struct_("node"));
+        b.iter(|| rt.type_check_id(std::hint::black_box(p), node, &loc))
     });
 
     c.bench_function("bounds_check_hit", |b| {

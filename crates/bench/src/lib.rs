@@ -34,28 +34,17 @@ pub fn scale_from_env() -> Scale {
 
 /// Parse explicit backend names (every spelling `SanitizerKind`'s
 /// `FromStr` accepts: canonical names, `asan`, `full`, `bounds`,
-/// `memcheck`, `mpx`, `escapes-off`, …).  On an unknown name, prints the
-/// error (which lists the registered backends) and exits with status 2;
-/// a duplicated backend — even under two spellings — is likewise rejected
-/// rather than silently run twice.
+/// `memcheck`, `mpx`, `escapes-off`, …) with
+/// [`parse_backend_list`](effective_san::parse_backend_list), so an
+/// argument may itself be a comma-separated list.  On an unknown name,
+/// prints the error (which lists the registered backends) and exits with
+/// status 2; a duplicated backend — even under two spellings — is likewise
+/// rejected rather than silently run twice.
 pub fn parse_backend_names(names: &[String]) -> Vec<SanitizerKind> {
-    let mut kinds: Vec<SanitizerKind> = Vec::new();
-    for arg in names {
-        let kind: SanitizerKind = arg.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        if kinds.contains(&kind) {
-            let err = effective_san::BackendListError::Duplicate {
-                name: arg.clone(),
-                kind,
-            };
-            eprintln!("{err}");
-            std::process::exit(2);
-        }
-        kinds.push(kind);
-    }
-    kinds
+    effective_san::parse_backend_list(&names.join(",")).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// Parse sanitizer backend names from the command line

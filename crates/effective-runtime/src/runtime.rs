@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use effective_types::{
-    LayoutMatch, MatchKind, RelBounds, Type, TypeId, TypeInterner, TypeLayout, TypeRegistry,
+    LayoutMatch, MatchKind, Type, TypeId, TypeInterner, TypeLayout, TypeRegistry,
 };
 use lowfat::{AllocKind, AllocatorConfig, LowFatAllocator, Memory, Ptr};
 use serde::{Deserialize, Serialize};
@@ -70,117 +70,12 @@ pub struct CheckStats {
     pub typed_allocations: u64,
     /// Typed frees performed.
     pub typed_frees: u64,
-    /// `type_check`/`cast_check` calls satisfied by the per-site check
-    /// cache (no layout-table walk).
-    pub check_cache_hits: u64,
-    /// `type_check`/`cast_check` calls that walked the layout table (and,
-    /// on success, populated the cache).
-    pub check_cache_misses: u64,
 }
 
 impl CheckStats {
     /// Total number of checks of any kind (used for overhead modelling).
     pub fn total_checks(&self) -> u64 {
         self.type_checks + self.bounds_checks + self.bounds_gets + self.cast_checks
-    }
-}
-
-/// Number of slots in the direct-mapped per-site check cache.  Power of
-/// two; large enough that the working set of (allocation type, static
-/// type, offset) triples of a typical inner loop never conflicts.
-const CHECK_CACHE_SLOTS: usize = 1024;
-
-/// One slot of the per-site check cache: a memoised *successful*
-/// `(allocation TypeId, static TypeId, normalised offset) → LayoutMatch`
-/// layout-table result.
-///
-/// Failed lookups are deliberately never cached: every failing check must
-/// reach the reporter (the abort-after-N and total-event counters are
-/// per-occurrence), so only the all-clear fast path is memoised.
-///
-/// # Invalidation
-///
-/// Entries never go stale because the allocation `TypeId` in the key is
-/// read from the object's `META` header *on every check*: freeing an
-/// object rebinds it to `FREE` (checked before the cache is consulted),
-/// and reallocation/quarantine reuse writes a fresh type id, so a cached
-/// entry for the old binding can no longer be keyed.  Ids are never
-/// reused by the interner, and the mapping id → layout is immutable, so a
-/// matching key always denotes a valid memoisation.
-#[derive(Clone, Copy)]
-struct CheckCacheSlot {
-    alloc_id: u32,
-    static_id: u32,
-    offset: u64,
-    result: LayoutMatch,
-    valid: bool,
-}
-
-impl CheckCacheSlot {
-    const EMPTY: CheckCacheSlot = CheckCacheSlot {
-        alloc_id: 0,
-        static_id: 0,
-        offset: 0,
-        result: LayoutMatch {
-            bounds: RelBounds::UNBOUNDED,
-            kind: MatchKind::Free,
-        },
-        valid: false,
-    };
-}
-
-/// The direct-mapped check cache (see [`CheckCacheSlot`]).
-struct CheckCache {
-    slots: Box<[CheckCacheSlot]>,
-}
-
-impl CheckCache {
-    fn new() -> Self {
-        CheckCache {
-            slots: vec![CheckCacheSlot::EMPTY; CHECK_CACHE_SLOTS].into_boxed_slice(),
-        }
-    }
-
-    fn index(alloc_id: TypeId, static_id: TypeId, offset: u64) -> usize {
-        let key = (alloc_id.raw() as u64) << 32 | static_id.raw() as u64;
-        let h = key
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(offset.wrapping_mul(0xA24B_AED4_963E_E407));
-        (h >> 32) as usize & (CHECK_CACHE_SLOTS - 1)
-    }
-
-    fn get(&self, alloc_id: TypeId, static_id: TypeId, offset: u64) -> Option<LayoutMatch> {
-        let slot = &self.slots[Self::index(alloc_id, static_id, offset)];
-        if slot.valid
-            && slot.alloc_id == alloc_id.raw()
-            && slot.static_id == static_id.raw()
-            && slot.offset == offset
-        {
-            Some(slot.result)
-        } else {
-            None
-        }
-    }
-
-    fn insert(&mut self, alloc_id: TypeId, static_id: TypeId, offset: u64, result: LayoutMatch) {
-        self.slots[Self::index(alloc_id, static_id, offset)] = CheckCacheSlot {
-            alloc_id: alloc_id.raw(),
-            static_id: static_id.raw(),
-            offset,
-            result,
-            valid: true,
-        };
-    }
-
-    fn clear(&mut self) {
-        self.slots.fill(CheckCacheSlot::EMPTY);
-    }
-}
-
-impl std::fmt::Debug for CheckCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let used = self.slots.iter().filter(|s| s.valid).count();
-        write!(f, "CheckCache({used}/{CHECK_CACHE_SLOTS} slots)")
     }
 }
 
@@ -196,7 +91,7 @@ enum LayoutEntry {
     /// allocations of it behave like legacy allocations.
     Unlayoutable,
     /// The built layout table.
-    Built(Arc<TypeLayout>),
+    Built(TypeLayout),
 }
 
 /// The EffectiveSan runtime: typed allocation, dynamic type checks, bounds
@@ -209,8 +104,6 @@ pub struct TypeCheckRuntime {
     interner: TypeInterner,
     /// Layout tables indexed by [`TypeId`].
     layouts: Vec<LayoutEntry>,
-    /// The per-site check cache (see [`CheckCacheSlot`]).
-    check_cache: CheckCache,
     /// The simulated low-fat allocator.
     pub allocator: LowFatAllocator,
     /// The simulated memory backing the address space.
@@ -229,7 +122,6 @@ impl TypeCheckRuntime {
             // read back zeroed META words.
             interner: TypeInterner::new(),
             layouts: Vec::new(),
-            check_cache: CheckCache::new(),
             allocator: LowFatAllocator::new(config.allocator),
             memory: Memory::new(),
             reporter: ErrorReporter::new(config.reporter),
@@ -269,15 +161,6 @@ impl TypeCheckRuntime {
     /// Should execution stop (abort-after-N errors reached)?
     pub fn halted(&self) -> bool {
         self.reporter.halted()
-    }
-
-    /// Drop every memoised per-site check-cache entry.
-    ///
-    /// Correctness never requires this — `free`/`realloc` invalidate by
-    /// rebinding the `META` type id, which the cache key starts from — but
-    /// tests use it to compare cached and uncached behaviour.
-    pub fn invalidate_check_cache(&mut self) {
-        self.check_cache.clear();
     }
 
     /// Total number of layout-hash-table entries materialised so far
@@ -356,7 +239,7 @@ impl TypeCheckRuntime {
             return;
         };
         let layout = match TypeLayout::build(&self.registry, &mut self.interner, &element) {
-            Ok(t) => LayoutEntry::Built(Arc::new(t)),
+            Ok(t) => LayoutEntry::Built(t),
             Err(_) => LayoutEntry::Unlayoutable,
         };
         // Building may have interned new key types; keep the vector dense.
@@ -473,9 +356,6 @@ impl TypeCheckRuntime {
         }
         // Bind the FREE type.  The allocator preserves the META words until
         // the block is reallocated (the memory is simply not zeroed).
-        // Rebinding the id is also what invalidates the per-site check
-        // cache for this object: the cache key starts from the META id, so
-        // stale entries for the old binding become unreachable.
         self.memory.write_u64(base, TypeId::FREE.raw() as u64);
         if ptr != base.add(META_SIZE) {
             // Freeing an interior pointer is itself undefined behaviour;
@@ -636,7 +516,7 @@ impl TypeCheckRuntime {
         // mid-run, so "interned" is time-dependent while "registered" is
         // fixed once the program's types are preloaded.
         let layout = match self.layouts.get(id.index()) {
-            Some(LayoutEntry::Built(t)) if id != TypeId::UNTYPED => Some(t.clone()),
+            Some(LayoutEntry::Built(t)) if id != TypeId::UNTYPED => Some(t),
             Some(LayoutEntry::Unlayoutable) if id != TypeId::UNTYPED => None,
             _ => {
                 // Low-fat but never typed (foreign allocation, zeroed
@@ -650,9 +530,7 @@ impl TypeCheckRuntime {
         let obj_base = base.add(META_SIZE);
         let alloc_bounds = Bounds::from_base_size(obj_base, alloc_size);
 
-        // Use-after-free: the dynamic type is FREE.  Checked before the
-        // check cache is consulted, so a cached entry for a previous
-        // binding of this block can never mask a use-after-free.
+        // Use-after-free: the dynamic type is FREE.
         if id == TypeId::FREE {
             self.stats.failed_type_checks += 1;
             let static_ty = self.resolve_or_void(static_id);
@@ -695,24 +573,12 @@ impl TypeCheckRuntime {
             return Bounds::WIDE;
         };
 
-        // The O(1) hot path: normalise once, then probe the direct-mapped
-        // per-site cache before walking the layout table — the static type
-        // arrives pre-interned, so not even a single hash remains here.
-        // Only successful matches are memoised — failures must reach the
-        // reporter every time.
-        let k_norm = layout.normalize_offset(k);
-        if let Some(m) = self.check_cache.get(id, static_id, k_norm) {
-            self.stats.check_cache_hits += 1;
-            return Self::match_to_bounds(ptr, m, alloc_bounds);
-        }
-        self.stats.check_cache_misses += 1;
-
-        match layout.lookup_id(&self.interner, static_id, k_norm) {
-            Some(m) => {
-                self.check_cache.insert(id, static_id, k_norm, m);
-                Self::match_to_bounds(ptr, m, alloc_bounds)
-            }
+        // The O(1) hot path: one probe of the layout hash table (§5), read
+        // in place and keyed by the pre-interned static type.
+        match layout.lookup_id(&self.interner, static_id, k) {
+            Some(m) => Self::match_to_bounds(ptr, m, alloc_bounds),
             None => {
+                let k_norm = layout.normalize_offset(k);
                 self.stats.failed_type_checks += 1;
                 let alloc_ty = self.resolve_or_void(id);
                 let static_ty = self.resolve_or_void(static_id);
@@ -732,9 +598,9 @@ impl TypeCheckRuntime {
         }
     }
 
-    /// Convert a (possibly cached) [`LayoutMatch`] into absolute bounds,
-    /// narrowed to the allocation (Fig. 6 line 20: the layout table is
-    /// built for the incomplete type `T[]`).
+    /// Convert a [`LayoutMatch`] into absolute bounds, narrowed to the
+    /// allocation (Fig. 6 line 20: the layout table is built for the
+    /// incomplete type `T[]`).
     fn match_to_bounds(ptr: Ptr, m: LayoutMatch, alloc_bounds: Bounds) -> Bounds {
         let sub = match m.kind {
             MatchKind::ContainingArray | MatchKind::ByteAccess => alloc_bounds,
@@ -1096,114 +962,51 @@ mod tests {
     }
 
     #[test]
-    fn check_cache_hits_on_repeated_site_checks() {
-        // The dominant workload pattern: a loop re-checking the same
-        // (allocation type, static type, offset) triple.
-        let mut rt = runtime();
-        let p = rt.type_malloc(100 * 4, &Type::int(), AllocKind::Heap);
-        let expected = Bounds::from_base_size(p, 400);
-        for i in 0..50 {
-            let b = rt.type_check(p, &Type::int(), &loc("loop"));
-            assert_eq!(b, expected, "iteration {i}");
-        }
-        let stats = rt.stats();
-        assert_eq!(stats.check_cache_misses, 1);
-        assert_eq!(stats.check_cache_hits, 49);
-        // Clearing the cache forces a fresh walk with the same outcome.
-        rt.invalidate_check_cache();
-        let b = rt.type_check(p, &Type::int(), &loc("loop"));
-        assert_eq!(b, expected);
-        assert_eq!(rt.stats().check_cache_misses, 2);
-    }
-
-    #[test]
-    fn check_cache_failures_are_never_cached() {
+    fn every_failing_check_at_one_site_reaches_the_reporter() {
         let mut rt = runtime();
         let p = rt.type_malloc(4 * 4, &Type::int(), AllocKind::Heap);
         for _ in 0..5 {
             assert!(rt.type_check(p, &Type::float(), &loc("bad")).is_wide());
         }
-        let stats = rt.stats();
-        // Every failing check misses the cache and reaches the reporter.
-        assert_eq!(stats.check_cache_hits, 0);
-        assert_eq!(stats.check_cache_misses, 5);
-        assert_eq!(stats.failed_type_checks, 5);
+        assert_eq!(rt.stats().failed_type_checks, 5);
         assert_eq!(rt.reporter().stats().total_events, 5);
     }
 
     #[test]
-    fn check_cache_never_masks_use_after_free() {
-        // A hot, cached check site must still detect the free: the FREE
-        // binding is consulted before the cache.
+    fn a_hot_site_reports_use_after_free_after_the_free() {
         let mut rt = runtime();
         let p = rt.type_malloc(24, &Type::struct_("S"), AllocKind::Heap);
         for _ in 0..10 {
             assert!(!rt.type_check(p, &Type::struct_("S"), &loc("hot")).is_wide());
         }
-        assert_eq!(rt.stats().check_cache_hits, 9);
         rt.type_free(p, &loc("free"));
         let b = rt.type_check(p, &Type::struct_("S"), &loc("stale"));
         assert!(b.is_wide());
         assert_eq!(rt.reporter().stats().issues_of(ErrorKind::UseAfterFree), 1);
-        // The UAF path bypassed the cache entirely: counters unchanged.
-        assert_eq!(rt.stats().check_cache_hits, 9);
-        assert_eq!(rt.stats().check_cache_misses, 1);
     }
 
     #[test]
-    fn check_cache_respects_quarantine_reuse_with_new_type() {
-        // Free + reallocate the same block under a different type: the
-        // META id rebind re-keys the cache, so the stale entry for the old
-        // binding can never be hit.
+    fn a_block_reused_under_a_new_type_checks_against_the_new_binding() {
         let mut rt = runtime();
         let p = rt.type_malloc(24, &Type::struct_("S"), AllocKind::Heap);
         for _ in 0..4 {
-            rt.type_check(p, &Type::struct_("S"), &loc("warm"));
+            assert!(!rt
+                .type_check(p, &Type::struct_("S"), &loc("warm"))
+                .is_wide());
         }
         rt.type_free(p, &loc("free"));
         let q = rt.type_malloc(24, &Type::float(), AllocKind::Heap);
         assert_eq!(p, q, "block must be reused for this test to bite");
-        // The dangling pointer's checks now key on the float binding and
-        // fail — the warm `struct S` cache entry is unreachable.
+        // The dangling pointer now reads the float binding and fails.
         let b = rt.type_check(p, &Type::struct_("S"), &loc("dangling"));
         assert!(b.is_wide());
+        assert_eq!(rt.stats().failed_type_checks, 1);
         assert!(rt.reporter().stats().type_issues() >= 1);
-        // The new owner's checks populate and then hit their own entry.
-        let before = rt.stats().check_cache_hits;
-        rt.type_check(q, &Type::float(), &loc("owner"));
-        rt.type_check(q, &Type::float(), &loc("owner"));
-        assert_eq!(rt.stats().check_cache_hits, before + 1);
-    }
-
-    #[test]
-    fn check_cache_realloc_rebinds_before_reuse() {
-        // type_realloc frees the old block (FREE rebind); checks through
-        // the stale pointer after a warm cache still report.
-        let mut rt = runtime();
-        let p = rt.type_malloc(16, &Type::int(), AllocKind::Heap);
-        for _ in 0..3 {
-            rt.type_check(p, &Type::int(), &loc("warm"));
+        // The new owner's checks pass.
+        for _ in 0..2 {
+            assert!(!rt.type_check(q, &Type::float(), &loc("owner")).is_wide());
         }
-        let q = rt.type_realloc(p, 64, &Type::int(), AllocKind::Heap, &loc("realloc"));
-        assert_ne!(p, q);
-        let b = rt.type_check(p, &Type::int(), &loc("stale"));
-        assert!(b.is_wide());
-        assert_eq!(rt.reporter().stats().issues_of(ErrorKind::UseAfterFree), 1);
-    }
-
-    #[test]
-    fn cast_checks_share_the_site_cache() {
-        let mut rt = runtime();
-        let p = rt.type_malloc(24, &Type::struct_("S"), AllocKind::Heap);
-        rt.type_check(p, &Type::struct_("S"), &loc("a"));
-        // Same (alloc, static, offset) triple through the cast-site entry
-        // point: a hit, because successes are failure-kind independent.
-        rt.cast_check(p, &Type::struct_("S"), &loc("b"));
-        let stats = rt.stats();
-        assert_eq!(stats.check_cache_misses, 1);
-        assert_eq!(stats.check_cache_hits, 1);
-        assert_eq!(stats.cast_checks, 1);
-        assert_eq!(stats.type_checks, 1);
+        assert_eq!(rt.stats().failed_type_checks, 1);
     }
 
     #[test]

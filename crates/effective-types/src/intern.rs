@@ -25,8 +25,7 @@ use crate::types::Type;
 /// A dense identifier for an interned (canonical, array-stripped) type.
 ///
 /// Ids are never reused within an interner, so an id observed once — e.g.
-/// stored in an allocation's `META` header or in a per-site check cache —
-/// always denotes the same type.
+/// stored in an allocation's `META` header — always denotes the same type.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TypeId(u32);
 

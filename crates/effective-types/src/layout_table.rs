@@ -16,8 +16,7 @@
 //! FAM-specific normalisation of §5.
 //!
 //! This module implements that table per allocation element type
-//! ([`TypeLayout`]) plus a cache keyed by allocation type ([`LayoutTable`]),
-//! including:
+//! ([`TypeLayout`]), including:
 //!
 //! * the tie-breaking rules (wider bounds preferred, one-past-the-end
 //!   matches last);
@@ -28,14 +27,15 @@
 //!
 //! To keep the probe genuinely O(1), the table is keyed by interned
 //! [`TypeId`]s rather than structural [`Type`] values: a lookup hashes a
-//! `(u32, u64)` pair instead of deep-hashing (and cloning) a type, and the
-//! coercion probes use the fixed ids [`TypeId::CHAR`] / [`TypeId::VOID_PTR`]
-//! with no hashing of the coerced type at all.  A structural reference
-//! implementation (the pre-interning code path) is kept under `#[cfg(test)]`
-//! and property-tested equal to the interned path.
+//! `(u32, u64)` pair, with two multiply-rotate steps (`KeyHasher`),
+//! instead of deep-hashing (and cloning) a type, and the coercion probes
+//! use the fixed ids [`TypeId::CHAR`] / [`TypeId::VOID_PTR`] with no
+//! hashing of the coerced type at all.  A structural reference
+//! implementation (the pre-interning code path) is kept under
+//! `#[cfg(test)]` and property-tested equal to the interned path.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::intern::{TypeId, TypeInterner, TypeTraits};
 use crate::layout::{layout_at, SubObject};
@@ -273,6 +273,43 @@ fn normalize_offset(size: u64, fam_element_size: Option<u64>, k: u64) -> u64 {
     }
 }
 
+/// The hasher of [`TypeLayout`]'s `(TypeId, offset)` keys: the FxHash step,
+/// one rotate, xor and multiply per word.
+///
+/// The keys come only from the program's own type layouts (dense interned
+/// ids and offsets inside its types), never from a peer, so the table needs
+/// no defence against chosen keys, and std's SipHash would cost more than
+/// the rest of the probe.  Nothing iterates the table but the sorted
+/// [`TypeLayout::dump`], so the hash decides no observable order.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The pre-computed layout table for one allocation element type `T`,
 /// keyed by interned [`TypeId`]s.
 #[derive(Clone, Debug)]
@@ -284,10 +321,7 @@ pub struct TypeLayout {
     /// Flexible-array-member element size, if `T` has a FAM.
     pub fam_element_size: Option<u64>,
     /// `(interned static key type, normalised offset) → best candidate`.
-    entries: HashMap<(TypeId, u64), Candidate>,
-    /// Number of distinct `(S, k)` entries (for statistics / Example 6
-    /// style dumps).
-    entry_count: usize,
+    entries: HashMap<(TypeId, u64), Candidate, BuildHasherDefault<KeyHasher>>,
 }
 
 impl TypeLayout {
@@ -302,35 +336,32 @@ impl TypeLayout {
         // Intern key types in a deterministic order: `raw.entries` is a
         // HashMap whose iteration order varies per instance and per
         // process, and interning order assigns `TypeId`s — which are
-        // observable (META header words in simulated memory, check-cache
-        // slot indices, and hence wire-carried cache statistics).
+        // observable (META header words in simulated memory).
         let mut raw_entries: Vec<((Type, u64), Candidate)> = raw.entries.into_iter().collect();
         raw_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut entries = HashMap::with_capacity(raw_entries.len());
+        let mut entries =
+            HashMap::with_capacity_and_hasher(raw_entries.len(), BuildHasherDefault::default());
         for ((ty, k), cand) in raw_entries {
             entries.insert((interner.intern(&ty), k), cand);
         }
-        let entry_count = entries.len();
         Ok(TypeLayout {
             element: raw.element,
             size: raw.size,
             fam_element_size: raw.fam_element_size,
             entries,
-            entry_count,
         })
     }
 
     /// Number of `(S, k)` entries in the table.
     pub fn entry_count(&self) -> usize {
-        self.entry_count
+        self.entries.len()
     }
 
     /// Normalise an offset into the range covered by the table:
     /// `k mod sizeof(T)` ordinarily, or the FAM normalisation
     /// `((k − sizeof(T)) mod sizeof(U)) + sizeof(T)` for offsets past the
-    /// end of a FAM structure (§5).  Idempotent, so callers may normalise
-    /// once (e.g. for a cache key) and pass the result to
-    /// [`lookup_id`](Self::lookup_id).
+    /// end of a FAM structure (§5).  Idempotent; every lookup normalises
+    /// its offset itself.
     pub fn normalize_offset(&self, k: u64) -> u64 {
         normalize_offset(self.size, self.fam_element_size, k)
     }
@@ -531,74 +562,6 @@ fn collect_interesting_offsets(
         _ => {}
     }
     Ok(())
-}
-
-/// A cache of [`TypeLayout`] tables keyed by interned allocation element
-/// type id.
-///
-/// The paper generates type meta data per compiled module and deduplicates
-/// via weak symbols; here the cache plays the same role for library users
-/// building layouts outside a runtime.  (`TypeCheckRuntime` itself embeds
-/// a denser `TypeId`-indexed vector on its hot path rather than this map.)
-/// The cache is not synchronised; the table itself is immutable once
-/// built, matching "the type meta data is constant".
-#[derive(Debug, Default)]
-pub struct LayoutTable {
-    cache: HashMap<TypeId, Arc<TypeLayout>>,
-}
-
-impl LayoutTable {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached allocation types.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// Total number of `(S, k)` entries across all cached types.
-    pub fn total_entries(&self) -> usize {
-        self.cache.values().map(|t| t.entry_count()).sum()
-    }
-
-    /// Get (building and caching if necessary) the layout for the given
-    /// allocation element type, interning it first.
-    pub fn layout_for(
-        &mut self,
-        registry: &TypeRegistry,
-        interner: &mut TypeInterner,
-        element: &Type,
-    ) -> Result<Arc<TypeLayout>, TypeError> {
-        let id = interner.intern(element);
-        self.layout_for_id(registry, interner, id)
-    }
-
-    /// Get (building and caching if necessary) the layout for an already
-    /// interned allocation element type id.
-    pub fn layout_for_id(
-        &mut self,
-        registry: &TypeRegistry,
-        interner: &mut TypeInterner,
-        id: TypeId,
-    ) -> Result<Arc<TypeLayout>, TypeError> {
-        if let Some(t) = self.cache.get(&id) {
-            return Ok(t.clone());
-        }
-        let element = interner
-            .resolve(id)
-            .cloned()
-            .ok_or(TypeError::UnresolvedTypeId(id.raw()))?;
-        let built = Arc::new(TypeLayout::build(registry, interner, &element)?);
-        self.cache.insert(id, built.clone());
-        Ok(built)
-    }
 }
 
 /// The structural reference implementation of the layout table: entries
@@ -906,36 +869,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_reuses_built_tables() {
-        let reg = paper_registry();
-        let mut interner = TypeInterner::new();
-        let mut cache = LayoutTable::new();
-        let a = cache
-            .layout_for(&reg, &mut interner, &Type::struct_("T"))
-            .unwrap();
-        let b = cache
-            .layout_for(&reg, &mut interner, &Type::struct_("T"))
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
-        // Arrays of T share the same element table.
-        let c = cache
-            .layout_for(&reg, &mut interner, &Type::array(Type::struct_("T"), 100))
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &c));
-        assert!(cache.total_entries() > 0);
-        // The id-keyed entry point resolves to the same table.
-        let id = interner.get(&Type::struct_("T")).unwrap();
-        let d = cache.layout_for_id(&reg, &mut interner, id).unwrap();
-        assert!(Arc::ptr_eq(&a, &d));
-    }
-
-    #[test]
     fn interning_order_is_deterministic_across_builds() {
         // Building the same layout table into two fresh interners must
         // assign identical ids: `TypeId`s are observable (META header
-        // words, check-cache keys), so the build must not leak HashMap
-        // iteration order (which varies per map instance and per process).
+        // words), so the build must not leak HashMap iteration order
+        // (which varies per map instance and per process).
         let reg = paper_registry();
         for ty in [
             Type::struct_("T"),
@@ -1082,8 +1020,8 @@ mod tests {
                     structural.lookup(static_ty, k),
                     "lookup_id({}, {}, {})", alloc_ty, static_ty, k
                 );
-                // Normalisation is idempotent, so pre-normalised cache keys
-                // see the same result.
+                // Normalisation is idempotent, so a pre-normalised offset
+                // sees the same result.
                 let k_norm = table.normalize_offset(k);
                 prop_assert_eq!(
                     table.lookup_id(&interner, sid, k_norm),

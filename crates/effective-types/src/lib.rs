@@ -15,12 +15,13 @@
 //!   pointers, flexible array members);
 //! * [`layout_at`] — the layout function `L` of Figure 2, mapping an
 //!   allocation type and byte offset to the set of valid sub-objects;
-//! * [`TypeLayout`] / [`LayoutTable`] — the O(1) layout hash table of §5
-//!   with offset normalisation, tie-breaking and the `char[]` / `void *`
-//!   coercion rules;
+//! * [`TypeLayout`] — the O(1) layout hash table of §5 for one allocation
+//!   element type, with offset normalisation, tie-breaking and the
+//!   `char[]` / `void *` coercion rules;
 //! * [`TypeInterner`] / [`TypeId`] — the interning layer that keys the
 //!   layout tables by dense ids, so a lookup hashes a `(u32, u64)` pair
-//!   instead of deep-hashing (and cloning) a structural type.
+//!   with a multiply-rotate hash instead of deep-hashing (and cloning) a
+//!   structural type.
 //!
 //! Everything here is pure data and pure functions; the runtime that binds
 //! types to allocations lives in the `effective-runtime` crate.
@@ -65,7 +66,7 @@ pub mod types;
 
 pub use intern::{TypeId, TypeInterner, TypeTraits};
 pub use layout::{layout_at, layout_at_with, type_bounds, LayoutOptions, SubObject};
-pub use layout_table::{LayoutMatch, LayoutTable, MatchKind, RelBounds, TypeLayout};
+pub use layout_table::{LayoutMatch, MatchKind, RelBounds, TypeLayout};
 pub use registry::{
     BaseDef, FieldDef, MemberLayout, MemberOrigin, RecordDef, RecordLayout, TypeError, TypeRegistry,
 };

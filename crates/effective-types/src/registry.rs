@@ -52,8 +52,6 @@ pub enum TypeError {
     },
     /// The size of an incomplete type was requested.
     IncompleteType(String),
-    /// A dense type id was never issued by the interner in use.
-    UnresolvedTypeId(u32),
 }
 
 impl fmt::Display for TypeError {
@@ -68,9 +66,6 @@ impl fmt::Display for TypeError {
                 write!(f, "`{base}` is not a valid base class of `{record}`")
             }
             TypeError::IncompleteType(t) => write!(f, "size of incomplete type `{t}` requested"),
-            TypeError::UnresolvedTypeId(id) => {
-                write!(f, "type id #{id} was never interned")
-            }
         }
     }
 }

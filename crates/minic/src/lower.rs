@@ -1216,6 +1216,24 @@ impl<'a> FunctionLowerer<'a> {
         expected: Option<&Type>,
     ) -> Result<(Slot, Type), CompileError> {
         if let Some(builtin) = Builtin::from_name(callee) {
+            // Arity goes by source name: `exit(status)` and `abort()` are
+            // both `Builtin::Abort`.
+            let arity = match builtin {
+                Builtin::Rand => 0,
+                Builtin::Abort => usize::from(callee == "exit"),
+                Builtin::Calloc | Builtin::Realloc => 2,
+                Builtin::Memcpy | Builtin::Memmove | Builtin::Memset => 3,
+                _ => 1,
+            };
+            if args.len() != arity {
+                return Err(self.err(
+                    format!(
+                        "`{callee}` expects {arity} argument(s), {} given",
+                        args.len()
+                    ),
+                    loc,
+                ));
+            }
             let mut arg_slots = Vec::new();
             for a in args {
                 let (s, _) = self.lower_expr(a)?;

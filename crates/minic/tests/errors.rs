@@ -92,6 +92,26 @@ fn bad_casts_are_diagnosed_not_panicked() {
 }
 
 #[test]
+fn builtin_calls_with_the_wrong_argument_count_are_rejected() {
+    for (call, message) in [
+        ("memcpy(a, b)", "`memcpy` expects 3 argument(s), 2 given"),
+        ("malloc()", "`malloc` expects 1 argument(s), 0 given"),
+        ("rand(1)", "`rand` expects 0 argument(s), 1 given"),
+        ("exit()", "`exit` expects 1 argument(s), 0 given"),
+    ] {
+        let src = format!("int main() {{ char *a; char *b; {call}; return 0; }}");
+        let err = expect_error(&src);
+        assert_eq!(err.kind, ErrorKind::Sema, "wrong stage for `{call}`: {err}");
+        assert_eq!(err.message, message);
+    }
+    // `exit` and `abort` share one builtin but not one arity.
+    for call in ["exit(1)", "abort()"] {
+        let src = format!("int main() {{ {call}; return 0; }}");
+        assert!(compile(&src).is_ok(), "`{call}` should compile");
+    }
+}
+
+#[test]
 fn diagnostics_render_with_stage_and_location() {
     let err = expect_error("struct S { int a;");
     let rendered = err.to_string();

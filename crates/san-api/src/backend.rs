@@ -49,10 +49,11 @@ pub struct SanStats {
     pub allocations: u64,
     /// Frees registered with the backend.
     pub frees: u64,
-    /// `type_check`/`cast_check` calls satisfied by the per-site check
-    /// cache (no layout-table walk; zero for tools without one).
+    /// Always 0: no backend memoises type checks (each one is a single
+    /// layout-table probe).  The field stays because the wire `checks`
+    /// line and the benchmark harness still carry it.
     pub check_cache_hits: u64,
-    /// `type_check`/`cast_check` calls that walked the layout table.
+    /// Always 0, like [`check_cache_hits`](Self::check_cache_hits).
     pub check_cache_misses: u64,
 }
 
@@ -65,17 +66,6 @@ impl SanStats {
             + self.bounds_gets
             + self.cast_checks
             + self.access_checks
-    }
-
-    /// Fraction of `type_check`/`cast_check` calls served by the per-site
-    /// check cache (0.0 when no cacheable check ran).
-    pub fn check_cache_hit_rate(&self) -> f64 {
-        let total = self.check_cache_hits + self.check_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.check_cache_hits as f64 / total as f64
-        }
     }
 
     /// Add the baseline tool's *check* counters on top (used by backends
@@ -109,8 +99,8 @@ impl From<CheckStats> for SanStats {
             typed_frees: c.typed_frees,
             allocations: c.typed_allocations,
             frees: c.typed_frees,
-            check_cache_hits: c.check_cache_hits,
-            check_cache_misses: c.check_cache_misses,
+            check_cache_hits: 0,
+            check_cache_misses: 0,
         }
     }
 }

@@ -633,20 +633,15 @@ impl Vm {
                     alloc_ty,
                     ..
                 } => {
-                    // Builtins read at most their first few arguments, so a
-                    // fixed stack buffer replaces the per-call `Vec` on the
-                    // hot path; oversized argument lists (which lowering
-                    // never emits today) still materialise fully.
+                    // No builtin reads past its third argument, and lowering
+                    // checks every builtin's arity, so a fixed buffer of the
+                    // first four arguments is all `call_builtin` needs.
                     let mut argv = [Value::default(); 4];
-                    let result = if args.len() <= argv.len() {
-                        for (slot, arg) in argv.iter_mut().zip(args.iter()) {
-                            *slot = slots[*arg as usize];
-                        }
-                        self.call_builtin(*builtin, &argv[..args.len()], alloc_ty.as_ref())?
-                    } else {
-                        let argv: Vec<Value> = args.iter().map(|a| slots[*a as usize]).collect();
-                        self.call_builtin(*builtin, &argv, alloc_ty.as_ref())?
-                    };
+                    for (slot, arg) in argv.iter_mut().zip(args.iter()) {
+                        *slot = slots[*arg as usize];
+                    }
+                    let argc = args.len().min(argv.len());
+                    let result = self.call_builtin(*builtin, &argv[..argc], alloc_ty.as_ref())?;
                     if let Some(d) = dst {
                         slots[*d as usize] = result;
                     }
@@ -999,15 +994,11 @@ impl Vm {
                     };
                     flush!();
                     let mut argv = [Value::default(); 4];
-                    let result = if window.len() <= argv.len() {
-                        for (slot, arg) in argv.iter_mut().zip(window.iter()) {
-                            *slot = slots[*arg as usize];
-                        }
-                        self.call_builtin(builtin, &argv[..window.len()], alloc_ty)?
-                    } else {
-                        let argv: Vec<Value> = window.iter().map(|a| slots[*a as usize]).collect();
-                        self.call_builtin(builtin, &argv, alloc_ty)?
-                    };
+                    for (slot, arg) in argv.iter_mut().zip(window.iter()) {
+                        *slot = slots[*arg as usize];
+                    }
+                    let argc = window.len().min(argv.len());
+                    let result = self.call_builtin(builtin, &argv[..argc], alloc_ty)?;
                     if dst != NO_INDEX {
                         slots[dst as usize] = result;
                     }
@@ -1451,6 +1442,31 @@ mod tests {
         );
         let v = vm.run(entry, args).unwrap();
         (v, vm)
+    }
+
+    #[test]
+    fn builtin_arguments_past_the_fourth_are_ignored_in_both_tiers() {
+        // Lowering rejects a wrong builtin arity, so only hand-built IR can
+        // pass extra arguments; both tiers ignore them.
+        let mut program = minic::compile("int run(int n) { print_int(n); return n; }").unwrap();
+        let run = Arc::make_mut(program.functions.get_mut("run").unwrap());
+        for instr in &mut run.body {
+            if let Instr::CallBuiltin { args, .. } = instr {
+                let first = args[0];
+                args.extend([first; 5]);
+            }
+        }
+        for promote_after_calls in [1, u32::MAX] {
+            let mut vm = Vm::new(
+                Arc::new(program.clone()),
+                VmConfig {
+                    promote_after_calls,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(vm.run("run", &[Value::Int(7)]).unwrap(), Value::Int(7));
+            assert_eq!(vm.output(), ["7"]);
+        }
     }
 
     #[test]
